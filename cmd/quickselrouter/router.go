@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,18 +36,18 @@ const maxRetryAfter = 200 * time.Millisecond
 // Routing policy, by endpoint class:
 //
 //   - Writes (create, drop, observe, train, rollback) go to the owning
-//     shard's primary. A 503 answer carrying X-Quickseld-Primary re-aims
-//     the tracker and is retried exactly once against the hinted address;
-//     a transport error is likewise retried once after the tracker's view
-//     refreshes. Beyond that the shard's answer is the client's answer.
+//     shard's primary.
 //   - Estimate reads (estimate, estimate/batch) go to the primary by
 //     default; with -read-from-followers they round-robin across the
 //     primary and every healthy follower within the staleness bound.
-//   - List fans out to every shard and merges; snapshot fans out to every
-//     primary.
+//   - List fans out to every shard's primary and merges; snapshot fans out
+//     to every primary.
 //   - Versions/accuracy reads go to the primary: followers do not train,
 //     so their lifecycle state trails the primary's even when caught up on
 //     the log.
+//
+// Every shard request of every class goes through forward, which owns the
+// one retry rule and the per-shard metrics.
 type Router struct {
 	tracker  *cluster.Tracker
 	client   *http.Client
@@ -166,28 +168,34 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.mux.ServeHTTP(w, r)
 		return
 	}
-	// Normalize the request ID onto the inbound header: every downstream
-	// helper (proxy, fan-out) reads it from one place, and sampled-out
-	// requests still propagate it even though they record no span.
+	// Normalize the request ID onto the inbound header: every shard request
+	// reads it from there, and sampled-out requests still propagate it even
+	// though they record no span.
 	id := obs.AdoptID(r.Header.Get("X-Request-Id"))
 	r.Header.Set("X-Request-Id", id)
 	w.Header().Set("X-Request-Id", id)
-	if !obs.SampleRequestID(id, rt.sampleRate) {
-		rt.mux.ServeHTTP(w, r)
-		return
-	}
-	sp := obs.StartSpanWithID("router", r.Method+" "+r.URL.Path, id)
 	sw := &statusWriter{ResponseWriter: w}
-	rt.mux.ServeHTTP(sw, r.WithContext(obs.WithSpan(r.Context(), sp)))
+	var sp *obs.Span
+	if obs.SampleRequestID(id, rt.sampleRate) {
+		sp = obs.StartSpanWithID("router", r.Method+" "+r.URL.Path, id)
+		r = r.WithContext(obs.WithSpan(r.Context(), sp))
+	}
+	rt.mux.ServeHTTP(sw, r)
 	code := sw.code
 	if code == 0 {
 		code = http.StatusOK
 	}
-	sp.SetStatus(code)
-	rt.ring.Record(sp.End())
+	if code >= 500 {
+		rt.reqErrors.Add(1)
+	}
+	if sp != nil {
+		sp.SetStatus(code)
+		rt.ring.Record(sp.End())
+	}
 }
 
-// statusWriter captures the response status for the request trace.
+// statusWriter captures the response status for the error counter and the
+// request trace.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -207,16 +215,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// requestID reads the ID ServeHTTP normalized onto the inbound header (or
-// mints one for paths that bypass the traced front door), so the router's
-// logs and every proxied shard request share one correlatable ID.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		return obs.AdoptID(id)
-	}
-	return obs.NewRequestID()
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -229,42 +227,114 @@ func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// ---- proxy core ----
+// ---- upstream path ----
 
-// proxyResult is one upstream exchange, body fully read.
+// proxyResult is one shard answer, body fully read.
 type proxyResult struct {
 	status int
 	header http.Header
 	body   []byte
 }
 
-// doOnce issues one upstream request. The body is a byte slice (not the
-// client's reader) so a retry can replay it.
-func (rt *Router) doOnce(r *http.Request, target, reqID string, body []byte) (*proxyResult, error) {
-	u := target + r.URL.Path
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
+// errNoPrimary is forward's error for a shard whose primary is unknown.
+var errNoPrimary = errors.New("no known primary")
+
+// forward sends one request to a shard and returns the shard's answer. It
+// is the router's only way to a shard: the name-routed proxy, the cluster
+// batch and the list and snapshot fan-outs all call it, so they share one
+// target policy, one retry rule and one set of per-shard metrics.
+//
+// The target is the shard's primary or, for a read with follower reads on,
+// a round-robin pick over the primary and its caught-up followers. A 503 or
+// a transport error is retried once unless the router is draining. After a
+// 503 the retry waits out its Retry-After, at most maxRetryAfter, and an
+// X-Quickseld-Primary hint re-aims the tracker and takes the retry; any
+// other retry goes to the tracker's current primary. Beyond that the
+// shard's answer, whatever its status, is the caller's.
+//
+// The error is non-nil only when there is no answer to pass on: the shard
+// has no known primary (errNoPrimary), it stayed unreachable, or its answer
+// exceeded server.MaxRequestBytes.
+func (rt *Router) forward(r *http.Request, shard string, read bool, method, pathQuery string, body []byte) (res *proxyResult, err error) {
+	sm := rt.shards[shard]
+	sm.requests.Add(1)
+	start := time.Now()
+	target, followerRead := rt.pickTarget(shard, read)
+	// Check and count the final answer here, whichever return produced it.
+	defer func() {
+		if err == nil && len(res.body) > server.MaxRequestBytes {
+			res, err = nil, fmt.Errorf("answer exceeds %d bytes", server.MaxRequestBytes)
+		}
+		sm.latency.Observe(time.Since(start))
+		switch {
+		case err != nil || res.status >= 500:
+			sm.errors.Add(1)
+		case followerRead:
+			rt.followerReads.Add(1)
+		}
+	}()
+	sp := obs.SpanFrom(r.Context())
+	sp.Stage("queue") // body read + target pick: time before the wire
+	if target == "" {
+		return nil, errNoPrimary
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, bytes.NewReader(body))
+	res, err = rt.doOnce(r, target, method, pathQuery, body)
+	sp.Stage("proxy")
+	if (err == nil && res.status != http.StatusServiceUnavailable) || rt.draining.Load() {
+		return res, err
+	}
+	retry := ""
+	if err == nil {
+		if hint := res.header.Get(replica.HeaderPrimary); hint != "" && hint != target {
+			rt.tracker.AdoptPrimary(shard, hint)
+			rt.rerouted.Add(1)
+			retry = hint
+		}
+		if secs, perr := strconv.Atoi(res.header.Get("Retry-After")); perr == nil && secs > 0 {
+			select {
+			case <-time.After(min(time.Duration(secs)*time.Second, maxRetryAfter)):
+			case <-r.Context().Done():
+				return res, nil
+			}
+		}
+	}
+	if retry == "" {
+		// Reads retry against the primary, not another follower: the
+		// primary is the one target guaranteed to hold the estimator.
+		if retry, _ = rt.tracker.PrimaryURL(shard); retry == "" {
+			return res, err
+		}
+	}
+	rt.retried.Add(1)
+	followerRead = false
+	res, err = rt.doOnce(r, retry, method, pathQuery, body)
+	sp.Stage("retry")
+	return res, err
+}
+
+// doOnce is one buffered exchange with a node. The body is a byte slice,
+// not the client's reader, so a retry can resend it.
+func (rt *Router) doOnce(r *http.Request, target, method, pathQuery string, body []byte) (*proxyResult, error) {
+	req, err := http.NewRequestWithContext(r.Context(), method, target+pathQuery, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	if len(body) > 0 {
+		req.Header.Set("Content-Type", "application/json")
 	}
+	id := r.Header.Get("X-Request-Id")
 	sp := obs.SpanFrom(r.Context())
-	req.Header.Set("X-Request-Id", reqID)
+	req.Header.Set("X-Request-Id", id)
 	// Always send trace context, even sampled-out (sp == nil): the flag
 	// tells the shard the cluster-wide fate, so it neither re-samples
 	// locally nor echoes a span nobody will stitch.
-	req.Header.Set(obs.HeaderTraceParent, obs.FormatTraceParent(reqID, sp.SpanID(), sp != nil))
+	req.Header.Set(obs.HeaderTraceParent, obs.FormatTraceParent(id, sp.SpanID(), sp != nil))
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	// Bound the proxied body: the shard's own responses are bounded, so
-	// anything bigger means a misconfigured target.
+	// One byte past the bound is enough for forward to reject the answer.
 	b, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxRequestBytes+1))
 	if err != nil {
 		return nil, err
@@ -290,135 +360,6 @@ func traceChild(sp *obs.Span, resp *http.Response) {
 	}
 }
 
-// proxyShard forwards a request to a shard, retrying once on a 503 (the
-// target is a demoted or still-booting node; the response's
-// X-Quickseld-Primary hint re-aims the tracker) or on a transport error
-// (the target just died; the tracker may already know the successor).
-func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard string, read bool) {
-	sm := rt.shards[shard]
-	start := time.Now()
-	defer func() { sm.latency.Observe(time.Since(start)) }()
-	sm.requests.Add(1)
-
-	var body []byte
-	if r.Body != nil && r.Method != http.MethodGet {
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			// MaxBytesReader trips here; mirror the shard's 413 semantics.
-			sm.errors.Add(1)
-			rt.writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "request body too large"})
-			return
-		}
-		body = b
-	}
-	reqID := requestID(r)
-	sp := obs.SpanFrom(r.Context())
-
-	target, followerRead := rt.pickTarget(shard, read)
-	sp.Stage("queue") // body read + target pick: time before the wire
-	if target == "" {
-		sm.errors.Add(1)
-		rt.reqErrors.Add(1)
-		w.Header().Set("Retry-After", "1")
-		rt.writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: fmt.Sprintf("shard %s has no known primary", shard)})
-		return
-	}
-
-	res, err := rt.doOnce(r, target, reqID, body)
-	sp.Stage("proxy")
-	if err == nil && res.status != http.StatusServiceUnavailable {
-		rt.replyWith(w, res, reqID, followerRead)
-		return
-	}
-
-	// One retry. A 503 with a primary hint re-aims the tracker (rerouted);
-	// otherwise re-ask the tracker, which the health loop may have updated.
-	retryTarget := ""
-	if err == nil {
-		if hint := res.header.Get(replica.HeaderPrimary); hint != "" && hint != target {
-			rt.tracker.AdoptPrimary(shard, hint)
-			rt.rerouted.Add(1)
-			retryTarget = hint
-		}
-		if ra := res.header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				d := time.Duration(secs) * time.Second
-				if d > maxRetryAfter {
-					d = maxRetryAfter
-				}
-				select {
-				case <-time.After(d):
-				case <-r.Context().Done():
-					return
-				}
-			}
-		}
-	}
-	if retryTarget == "" {
-		// Reads retried against the primary, not another follower: the
-		// primary is the one target guaranteed to hold the estimator.
-		retryTarget, _ = rt.tracker.PrimaryURL(shard)
-		followerRead = false
-	}
-	if retryTarget == "" || rt.draining.Load() {
-		rt.upstreamError(w, sm, shard, err, res)
-		return
-	}
-	rt.retried.Add(1)
-	res2, err2 := rt.doOnce(r, retryTarget, reqID, body)
-	sp.Stage("retry")
-	if err2 != nil {
-		sm.errors.Add(1)
-		rt.reqErrors.Add(1)
-		rt.writeJSON(w, http.StatusBadGateway,
-			errorBody{Error: fmt.Sprintf("shard %s unreachable: %v", shard, err2)})
-		return
-	}
-	if res2.status >= 500 {
-		sm.errors.Add(1)
-	}
-	rt.replyWith(w, res2, reqID, followerRead)
-}
-
-// upstreamError turns a failed first attempt (with no viable retry target)
-// into the client-facing answer: the shard's own response when there was
-// one, a 502 otherwise.
-func (rt *Router) upstreamError(w http.ResponseWriter, sm *shardMetrics, shard string, err error, res *proxyResult) {
-	sm.errors.Add(1)
-	if res != nil {
-		rt.replyWith(w, res, "", false)
-		return
-	}
-	rt.reqErrors.Add(1)
-	rt.writeJSON(w, http.StatusBadGateway,
-		errorBody{Error: fmt.Sprintf("shard %s unreachable: %v", shard, err)})
-}
-
-// replyWith copies an upstream exchange to the client.
-func (rt *Router) replyWith(w http.ResponseWriter, res *proxyResult, reqID string, followerRead bool) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if pu := res.header.Get(replica.HeaderPrimary); pu != "" {
-		w.Header().Set(replica.HeaderPrimary, pu)
-	}
-	if reqID != "" {
-		w.Header().Set("X-Request-Id", reqID)
-	}
-	if followerRead {
-		rt.followerReads.Add(1)
-	}
-	if res.status >= 500 {
-		rt.reqErrors.Add(1)
-	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
-}
-
 // pickTarget selects the upstream for one request: the shard primary for
 // writes, or — when follower reads are on — a round-robin pick over the
 // primary and the caught-up healthy followers. The second return reports
@@ -438,19 +379,40 @@ func (rt *Router) pickTarget(shard string, read bool) (string, bool) {
 	return url, false
 }
 
+// noAnswer answers for a shard forward got no answer from: 503 with
+// Retry-After while the shard has no known primary, as a booting node
+// answers, and 502 otherwise.
+func (rt *Router) noAnswer(w http.ResponseWriter, shard string, err error) {
+	if errors.Is(err, errNoPrimary) {
+		w.Header().Set("Retry-After", "1")
+		rt.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: fmt.Sprintf("shard %s has no known primary", shard)})
+		return
+	}
+	rt.writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("shard %s: %v", shard, err)})
+}
+
 // ---- handlers ----
 
 // byName routes endpoints whose owning shard is determined by the {name}
 // path segment.
 func (rt *Router) byName(read bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		rt.proxyShard(w, r, rt.tracker.Owner(name), read)
+		var body []byte
+		if r.Method != http.MethodGet {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				// MaxBytesReader trips here; mirror the shard's 413 semantics.
+				rt.writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "request body too large"})
+				return
+			}
+			body = b
+		}
+		rt.proxy(w, r, rt.tracker.Owner(r.PathValue("name")), read, body)
 	}
 }
 
 // handleCreate peeks the estimator name out of the create body to find the
-// owning shard, then forwards the original body verbatim.
+// owning shard, then forwards the body verbatim.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -464,66 +426,99 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: "create body needs a name field"})
 		return
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	rt.proxyShard(w, r, rt.tracker.Owner(peek.Name), false)
+	rt.proxy(w, r, rt.tracker.Owner(peek.Name), false, body)
+}
+
+// proxy forwards the request to shard and copies the shard's status, body
+// and the headers a client acts on back to the client.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string, read bool, body []byte) {
+	res, err := rt.forward(r, shard, read, r.Method, r.URL.RequestURI(), body)
+	if err != nil {
+		rt.noAnswer(w, shard, err)
+		return
+	}
+	for _, k := range []string{"Content-Type", "Retry-After", replica.HeaderPrimary} {
+		if v := res.header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
+}
+
+// leg is one request of a fan-out and forward's outcome for it.
+type leg struct {
+	shard     string
+	pathQuery string
+	read      bool
+	body      []byte
+	res       *proxyResult
+	err       error
+}
+
+// everyPrimary is one leg per shard, all to the same primary endpoint.
+func (rt *Router) everyPrimary(pathQuery string) []leg {
+	shards := rt.tracker.Ring().Shards()
+	legs := make([]leg, len(shards))
+	for i, shard := range shards {
+		legs[i] = leg{shard: shard, pathQuery: pathQuery}
+	}
+	return legs
+}
+
+// fanout forwards every leg concurrently and reports whether all of them
+// got a 200. When one did not, the client has its answer: the router's own
+// 503 or 502 when the shard gave none, else the shard's status with its
+// error text prefixed by the shard and path, since one client request
+// spans many shards.
+func (rt *Router) fanout(w http.ResponseWriter, r *http.Request, method string, legs []leg) bool {
+	var wg sync.WaitGroup
+	for i := range legs {
+		wg.Add(1)
+		go func(l *leg) {
+			defer wg.Done()
+			l.res, l.err = rt.forward(r, l.shard, l.read, method, l.pathQuery, l.body)
+		}(&legs[i])
+	}
+	wg.Wait()
+	for _, l := range legs {
+		if l.err != nil {
+			rt.noAnswer(w, l.shard, l.err)
+			return false
+		}
+		if l.res.status != http.StatusOK {
+			var e errorBody
+			if json.Unmarshal(l.res.body, &e) != nil || e.Error == "" {
+				e.Error = truncate(l.res.body)
+			}
+			rt.writeJSON(w, l.res.status, errorBody{Error: fmt.Sprintf("shard %s %s: %s", l.shard, l.pathQuery, e.Error)})
+			return false
+		}
+	}
+	return true
 }
 
 // handleList fans GET /v1/estimators out to every shard's primary and
 // merges the estimator arrays, sorted by name for a stable view.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	reqID := requestID(r)
-	type shardList struct {
-		shard string
-		ests  []json.RawMessage
-		err   error
+	legs := rt.everyPrimary("/v1/estimators")
+	if !rt.fanout(w, r, http.MethodGet, legs) {
+		return
 	}
-	shards := rt.tracker.Ring().Shards()
-	results := make([]shardList, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			results[i].shard = shard
-			target, _ := rt.tracker.PrimaryURL(shard)
-			if target == "" {
-				results[i].err = fmt.Errorf("no known primary")
-				return
-			}
-			res, err := rt.doOnce(r, target, reqID, nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			if res.status != http.StatusOK {
-				results[i].err = fmt.Errorf("status %d: %s", res.status, truncate(res.body))
-				return
-			}
-			var body struct {
-				Estimators []json.RawMessage `json:"estimators"`
-			}
-			if err := json.Unmarshal(res.body, &body); err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].ests = body.Estimators
-		}(i, shard)
-	}
-	wg.Wait()
 	merged := make([]json.RawMessage, 0, 16)
-	for _, sl := range results {
-		if sl.err != nil {
-			rt.reqErrors.Add(1)
-			rt.writeJSON(w, http.StatusBadGateway,
-				errorBody{Error: fmt.Sprintf("shard %s: list failed: %v", sl.shard, sl.err)})
+	for _, l := range legs {
+		var body struct {
+			Estimators []json.RawMessage `json:"estimators"`
+		}
+		if err := json.Unmarshal(l.res.body, &body); err != nil {
+			rt.writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("shard %s: unreadable list: %v", l.shard, err)})
 			return
 		}
-		merged = append(merged, sl.ests...)
+		merged = append(merged, body.Estimators...)
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		return estimatorName(merged[i]) < estimatorName(merged[j])
 	})
-	w.Header().Set("X-Request-Id", reqID)
 	rt.writeJSON(w, http.StatusOK, map[string]any{"estimators": merged})
 }
 
@@ -559,7 +554,6 @@ type clusterBatchQuery struct {
 // so follower balancing applies), and merges the selectivities back into
 // input order.
 func (rt *Router) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := requestID(r)
 	var req clusterBatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
@@ -602,158 +596,42 @@ func (rt *Router) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 		g.indices = append(g.indices, i)
 		g.wheres = append(g.wheres, q.Where)
 	}
-
-	sels := make([]float64, len(req.Queries))
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, g := range order {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			shard := rt.tracker.Owner(g.estimator)
-			subBody, _ := json.Marshal(map[string]any{"wheres": g.wheres})
-			subSels, err := rt.estimateSubBatch(r, shard, g.estimator, reqID, subBody)
-			if err != nil {
-				errs[gi] = fmt.Errorf("estimator %s (shard %s): %w", g.estimator, shard, err)
-				return
-			}
-			if len(subSels) != len(g.indices) {
-				errs[gi] = fmt.Errorf("estimator %s: %d selectivities for %d queries", g.estimator, len(subSels), len(g.indices))
-				return
-			}
-			for k, idx := range g.indices {
-				sels[idx] = subSels[k]
-			}
-		}(gi, g)
+	legs := make([]leg, len(order))
+	for i, g := range order {
+		body, _ := json.Marshal(map[string]any{"wheres": g.wheres})
+		legs[i] = leg{
+			shard:     rt.tracker.Owner(g.estimator),
+			pathQuery: "/v1/" + url.PathEscape(g.estimator) + "/estimate/batch",
+			read:      true,
+			body:      body,
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			status := http.StatusBadGateway
-			if strings.Contains(err.Error(), "status 404") {
-				status = http.StatusNotFound
-			}
-			rt.reqErrors.Add(1)
-			rt.writeJSON(w, status, errorBody{Error: err.Error()})
+	if !rt.fanout(w, r, http.MethodPost, legs) {
+		return
+	}
+	sels := make([]float64, len(req.Queries))
+	for i, g := range order {
+		var out struct {
+			Selectivities []float64 `json:"selectivities"`
+		}
+		if err := json.Unmarshal(legs[i].res.body, &out); err != nil || len(out.Selectivities) != len(g.indices) {
+			rt.writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf(
+				"shard %s: unreadable answer for %d queries of estimator %s", legs[i].shard, len(g.indices), g.estimator)})
 			return
 		}
+		for k, idx := range g.indices {
+			sels[idx] = out.Selectivities[k]
+		}
 	}
-	w.Header().Set("X-Request-Id", reqID)
 	rt.writeJSON(w, http.StatusOK, map[string]any{"selectivities": sels})
-}
-
-// estimateSubBatch sends one per-estimator sub-batch to its shard under the
-// read policy, with the same 503-hint retry the general proxy applies.
-func (rt *Router) estimateSubBatch(r *http.Request, shard, estimator, reqID string, body []byte) ([]float64, error) {
-	sm := rt.shards[shard]
-	start := time.Now()
-	defer func() { sm.latency.Observe(time.Since(start)) }()
-	sm.requests.Add(1)
-
-	target, followerRead := rt.pickTarget(shard, true)
-	if target == "" {
-		sm.errors.Add(1)
-		return nil, fmt.Errorf("no known primary")
-	}
-	u := target + "/v1/" + estimator + "/estimate/batch"
-	sp := obs.SpanFrom(r.Context())
-	attempt := func(u string) (*proxyResult, error) {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-Id", reqID)
-		req.Header.Set(obs.HeaderTraceParent, obs.FormatTraceParent(reqID, sp.SpanID(), sp != nil))
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxRequestBytes+1))
-		if err != nil {
-			return nil, err
-		}
-		traceChild(sp, resp)
-		return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b}, nil
-	}
-	res, err := attempt(u)
-	if err != nil || res.status == http.StatusServiceUnavailable {
-		retry := ""
-		if err == nil {
-			if hint := res.header.Get(replica.HeaderPrimary); hint != "" && hint != target {
-				rt.tracker.AdoptPrimary(shard, hint)
-				rt.rerouted.Add(1)
-				retry = hint
-			}
-		}
-		if retry == "" {
-			retry, _ = rt.tracker.PrimaryURL(shard)
-		}
-		if retry == "" {
-			sm.errors.Add(1)
-			return nil, fmt.Errorf("shard unreachable: %v", err)
-		}
-		rt.retried.Add(1)
-		followerRead = false
-		res, err = attempt(retry + "/v1/" + estimator + "/estimate/batch")
-		if err != nil {
-			sm.errors.Add(1)
-			return nil, err
-		}
-	}
-	if res.status != http.StatusOK {
-		sm.errors.Add(1)
-		return nil, fmt.Errorf("status %d: %s", res.status, truncate(res.body))
-	}
-	if followerRead {
-		rt.followerReads.Add(1)
-	}
-	var out struct {
-		Selectivities []float64 `json:"selectivities"`
-	}
-	if err := json.Unmarshal(res.body, &out); err != nil {
-		return nil, fmt.Errorf("decode shard response: %w", err)
-	}
-	return out.Selectivities, nil
 }
 
 // handleSnapshotFanout forwards POST /v1/snapshot to every shard's primary;
 // all must succeed for a 200.
 func (rt *Router) handleSnapshotFanout(w http.ResponseWriter, r *http.Request) {
-	reqID := requestID(r)
-	shards := rt.tracker.Ring().Shards()
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			target, _ := rt.tracker.PrimaryURL(shard)
-			if target == "" {
-				errs[i] = fmt.Errorf("shard %s: no known primary", shard)
-				return
-			}
-			res, err := rt.doOnce(r, target, reqID, nil)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", shard, err)
-				return
-			}
-			if res.status != http.StatusOK {
-				errs[i] = fmt.Errorf("shard %s: status %d: %s", shard, res.status, truncate(res.body))
-			}
-		}(i, shard)
+	if rt.fanout(w, r, http.MethodPost, rt.everyPrimary("/v1/snapshot")) {
+		rt.writeJSON(w, http.StatusOK, map[string]string{"status": "saved"})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			rt.reqErrors.Add(1)
-			rt.writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
-			return
-		}
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	rt.writeJSON(w, http.StatusOK, map[string]string{"status": "saved"})
 }
 
 // clusterStatus is the GET /v1/cluster/status body.

@@ -14,6 +14,7 @@ import (
 	"quicksel/internal/cluster"
 	"quicksel/internal/obs"
 	"quicksel/internal/replica"
+	"quicksel/internal/server"
 )
 
 // fakeShard is a scriptable stand-in for one quickseld node: it answers the
@@ -29,6 +30,8 @@ type fakeShard struct {
 	estimators []string           // GET /v1/estimators answer
 	sels       map[string]float64 // per-where batch selectivity answer
 	reject503  string             // when set, /v1 writes 503 with this primary hint
+	status     int                // when set, /v1 requests answer this status...
+	answer     string             // ...with this body (a JSON error when empty)
 	telem      *obs.Telemetry     // GET /v1/telemetry answer (404 when nil)
 	nodeID     string             // stamped on echoed trace headers
 	reqs       []recordedReq
@@ -79,6 +82,7 @@ func newFakeShard(t *testing.T, role string) *fakeShard {
 			body:   string(body),
 		})
 		reject := f.reject503
+		status, answer := f.status, f.answer
 		node := f.nodeID
 		// Mirror quickseld's trace echo: a sampled upstream traceparent gets
 		// the completed child span back on X-Quickseld-Trace (a plain header
@@ -106,6 +110,15 @@ func newFakeShard(t *testing.T, role string) *fakeShard {
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, `{"error":"this node is a follower"}`)
+			return
+		}
+		if status != 0 {
+			if answer == "" {
+				answer = fmt.Sprintf(`{"error":"scripted %d"}`, status)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			io.WriteString(w, answer)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -154,6 +167,13 @@ func (f *fakeShard) setReject(hint string) {
 	} else {
 		f.role = "primary"
 	}
+	f.mu.Unlock()
+}
+
+// setStatus scripts every later /v1 answer: status with body.
+func (f *fakeShard) setStatus(status int, body string) {
+	f.mu.Lock()
+	f.status, f.answer = status, body
 	f.mu.Unlock()
 }
 
@@ -425,42 +445,53 @@ func TestRouterClusterBatch(t *testing.T) {
 	}
 }
 
-// TestRouterRetryFollowsPrimaryHint: a write answered 503 with an
+// TestRouterRetryFollowsPrimaryHint: a request answered 503 with an
 // X-Quickseld-Primary hint is retried once at the hinted node, the hint is
-// adopted for subsequent writes, and the reroute is counted.
+// adopted for subsequent requests, and the reroute is counted. Proxied
+// writes, the snapshot fan-out and cluster-batch sub-requests all follow
+// the same rule.
 func TestRouterRetryFollowsPrimaryHint(t *testing.T) {
-	old, promoted := newFakeShard(t, "primary"), newFakeShard(t, "primary")
-	rt, srv := testRouter(t, map[string][]*fakeShard{"s0": {old, promoted}}, false, false)
+	for _, p := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"observe", "/v1/people/observe", `{"where":"age > 30","selectivity":0.5}`, http.StatusAccepted},
+		{"snapshot", "/v1/snapshot", "", http.StatusOK},
+		{"cluster batch", "/v1/estimate/batch", peopleBatch, http.StatusOK},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			old, promoted := newFakeShard(t, "primary"), newFakeShard(t, "primary")
+			rt, srv := testRouter(t, map[string][]*fakeShard{"s0": {old, promoted}}, false, false)
 
-	// The presumed primary demotes: it now refuses writes and points at the
-	// promoted node.
-	old.setReject(promoted.srv.URL)
+			// The presumed primary demotes: it now refuses writes and points
+			// at the promoted node.
+			old.setReject(promoted.srv.URL)
 
-	status, body, _ := doReq(t, "POST", srv.URL+"/v1/people/observe",
-		`{"where":"age > 30","selectivity":0.5}`, nil)
-	if status != http.StatusAccepted {
-		t.Fatalf("observe through failover: status %d: %s", status, body)
-	}
-	if got := promoted.count(); got != 1 {
-		t.Fatalf("promoted node saw %d requests, want the retried write", got)
-	}
-	if got := rt.rerouted.Load(); got != 1 {
-		t.Fatalf("rerouted counter = %d, want 1", got)
-	}
+			status, body, _ := doReq(t, "POST", srv.URL+p.path, p.body, nil)
+			if status != p.want {
+				t.Fatalf("through failover: status %d: %s", status, body)
+			}
+			if got := promoted.count(); got != 1 {
+				t.Fatalf("promoted node saw %d requests, want the retried one", got)
+			}
+			if got := rt.rerouted.Load(); got != 1 {
+				t.Fatalf("rerouted counter = %d, want 1", got)
+			}
 
-	// The hint was adopted: the next write goes straight to the promoted
-	// node without touching the demoted one.
-	before := old.count()
-	status, _, _ = doReq(t, "POST", srv.URL+"/v1/people/observe",
-		`{"where":"age > 31","selectivity":0.4}`, nil)
-	if status != http.StatusAccepted {
-		t.Fatalf("post-adoption observe status %d", status)
-	}
-	if got := old.count(); got != before {
-		t.Fatalf("demoted node still receiving writes (%d -> %d)", before, got)
-	}
-	if got := promoted.count(); got != 2 {
-		t.Fatalf("promoted node saw %d requests, want 2", got)
+			// The hint was adopted: the next request goes straight to the
+			// promoted node without touching the demoted one.
+			before := old.count()
+			status, _, _ = doReq(t, "POST", srv.URL+p.path, p.body, nil)
+			if status != p.want {
+				t.Fatalf("post-adoption status %d", status)
+			}
+			if got := old.count(); got != before {
+				t.Fatalf("demoted node still receiving requests (%d -> %d)", before, got)
+			}
+			if got := promoted.count(); got != 2 {
+				t.Fatalf("promoted node saw %d requests, want 2", got)
+			}
+		})
 	}
 }
 
@@ -868,5 +899,58 @@ func TestRouterTraceSamplingOff(t *testing.T) {
 	}
 	if len(dbg.Traces) != 0 {
 		t.Fatalf("sampled-out request recorded %d traces", len(dbg.Traces))
+	}
+}
+
+// peopleBatch is a router-level batch with one query for estimator people.
+const peopleBatch = `{"queries":[{"estimator":"people","where":"age > 30"}]}`
+
+// TestRouterShardFailures: on every path to a shard (proxy, cluster batch,
+// list, snapshot) a shard's 4xx or 5xx status is the client's, and a shard
+// that gives no usable answer (unreachable, or past the 8 MiB bound) is a
+// 502. Only a 5xx to the client moves request_errors_total and
+// shard_errors_total; a shard's 4xx is neither.
+func TestRouterShardFailures(t *testing.T) {
+	paths := []struct{ method, path, body string }{
+		{"GET", "/v1/people/estimate?where=x", ""},
+		{"POST", "/v1/estimate/batch", peopleBatch},
+		{"GET", "/v1/estimators", ""},
+		{"POST", "/v1/snapshot", ""},
+	}
+	oversize := `{"selectivity":0.5,"pad":"` + strings.Repeat("x", server.MaxRequestBytes) + `"}`
+	for _, tc := range []struct {
+		name       string
+		fail       func(*fakeShard)
+		wantStatus int
+		wantText   string
+	}{
+		{"shard 400", func(f *fakeShard) { f.setStatus(http.StatusBadRequest, "") }, http.StatusBadRequest, "scripted 400"},
+		{"shard 404", func(f *fakeShard) { f.setStatus(http.StatusNotFound, "") }, http.StatusNotFound, "scripted 404"},
+		{"shard 500", func(f *fakeShard) { f.setStatus(http.StatusInternalServerError, "") }, http.StatusInternalServerError, "scripted 500"},
+		{"oversize answer", func(f *fakeShard) { f.setStatus(http.StatusOK, oversize) }, http.StatusBadGateway, "exceeds"},
+		{"unreachable", func(f *fakeShard) { f.srv.Close() }, http.StatusBadGateway, "shard s0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeShard(t, "primary")
+			rt, srv := testRouter(t, map[string][]*fakeShard{"s0": {a}}, false, false)
+			tc.fail(a)
+			wantErrors := uint64(0)
+			if tc.wantStatus >= 500 {
+				wantErrors = 1
+			}
+			for _, p := range paths {
+				shardBefore, reqBefore := rt.shards["s0"].errors.Load(), rt.reqErrors.Load()
+				status, body, _ := doReq(t, p.method, srv.URL+p.path, p.body, nil)
+				if status != tc.wantStatus || !strings.Contains(string(body), tc.wantText) {
+					t.Fatalf("%s %s answered %d %.200s, want %d with %q", p.method, p.path, status, body, tc.wantStatus, tc.wantText)
+				}
+				if got := rt.shards["s0"].errors.Load() - shardBefore; got != wantErrors {
+					t.Fatalf("%s %s moved shard_errors_total by %d, want %d", p.method, p.path, got, wantErrors)
+				}
+				if got := rt.reqErrors.Load() - reqBefore; got != wantErrors {
+					t.Fatalf("%s %s moved request_errors_total by %d, want %d", p.method, p.path, got, wantErrors)
+				}
+			}
+		})
 	}
 }

@@ -1,11 +1,9 @@
 package quicksel
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"quicksel/internal/estimator"
 	"quicksel/internal/predicate"
@@ -27,33 +25,10 @@ import (
 // backend is deterministic in its inputs.
 
 // walRecObservation is the only estimator-level record type: one observed
-// (predicate, selectivity) pair. The payload is binary — 8-byte LE
-// selectivity bits followed by the predicate's binary encoding
-// (internal/predicate.AppendBinary) — because observation appends are the
-// hot path and the JSON codec costs microseconds per record.
+// (predicate, selectivity) pair in the binary predicate.AppendObservation
+// form, because observation appends are the hot path and the JSON codec
+// costs microseconds per record.
 const walRecObservation byte = 1
-
-// appendObservationPayload encodes one observation record payload.
-func appendObservationPayload(dst []byte, p *Predicate, sel float64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sel))
-	return predicate.AppendBinary(dst, p)
-}
-
-// decodeObservationPayload decodes appendObservationPayload's output.
-func decodeObservationPayload(data []byte) (*Predicate, float64, error) {
-	if len(data) < 8 {
-		return nil, 0, fmt.Errorf("truncated selectivity")
-	}
-	sel := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	p, rest, err := predicate.DecodeBinary(data[8:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(rest) != 0 {
-		return nil, 0, fmt.Errorf("%d trailing bytes", len(rest))
-	}
-	return p, sel, nil
-}
 
 // attachWAL opens the log configured by cfg, replays records after `from`
 // into the estimator, and leaves the log attached for subsequent Observe
@@ -88,7 +63,7 @@ func (e *Estimator) attachWAL(cfg estimator.WALConfig, from uint64, fresh bool) 
 		if rec.Type != walRecObservation {
 			return nil
 		}
-		p, sel, err := decodeObservationPayload(rec.Payload)
+		p, sel, err := predicate.DecodeObservation(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("quicksel: wal record %d: %w", rec.Seq, err)
 		}

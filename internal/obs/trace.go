@@ -114,6 +114,15 @@ func SampleRequestID(id string, rate float64) bool {
 		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
+	// Finish with the splitmix64 mixer: FNV's high bits barely move across
+	// IDs that differ only in their last bytes, as minted IDs (one boot
+	// prefix and a counter) do, and the sampled fraction must track the
+	// rate for them too.
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
 	return float64(h>>11)/(1<<53) < rate
 }
 

@@ -124,3 +124,29 @@ func decodeBinary(data []byte, budget *int) (*Predicate, []byte, error) {
 		return nil, nil, fmt.Errorf("predicate: unknown binary node kind %d", kind)
 	}
 }
+
+// AppendObservation appends one write-ahead-log observation payload to dst:
+// the 8-byte LE bits of the observed selectivity, then the predicate's
+// binary encoding. The estimator's log stores exactly these bytes, and the
+// registry's log stores them after an estimator-name prefix.
+func AppendObservation(dst []byte, p *Predicate, sel float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sel))
+	return AppendBinary(dst, p)
+}
+
+// DecodeObservation decodes AppendObservation's output. Bytes after the
+// predicate are an error: a payload holds exactly one observation.
+func DecodeObservation(data []byte) (*Predicate, float64, error) {
+	if len(data) < 8 {
+		return nil, 0, fmt.Errorf("predicate: truncated observation selectivity")
+	}
+	sel := math.Float64frombits(binary.LittleEndian.Uint64(data))
+	p, rest, err := DecodeBinary(data[8:])
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(rest) != 0 {
+		return nil, 0, fmt.Errorf("predicate: %d trailing bytes after observation", len(rest))
+	}
+	return p, sel, nil
+}

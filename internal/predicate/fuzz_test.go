@@ -61,6 +61,28 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	})
 }
 
+// TestObservationCodec: a WAL observation payload round-trips its
+// selectivity bits and predicate, and short or over-long payloads fail.
+func TestObservationCodec(t *testing.T) {
+	for i, p := range fuzzSeedPredicates() {
+		sel := float64(i) / 8
+		data := AppendObservation(nil, p, sel)
+		got, gotSel, err := DecodeObservation(data)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if gotSel != sel || !bytes.Equal(AppendBinary(nil, got), AppendBinary(nil, p)) {
+			t.Fatalf("seed %d: decoded (%v, %v), want (%v, %v)", i, got, gotSel, p, sel)
+		}
+		if _, _, err := DecodeObservation(data[:7]); err == nil {
+			t.Fatalf("seed %d: truncated selectivity decoded", i)
+		}
+		if _, _, err := DecodeObservation(append(data, 0)); err == nil {
+			t.Fatalf("seed %d: trailing byte accepted", i)
+		}
+	}
+}
+
 // FuzzJSONRoundTrip does the same for the JSON codec: arbitrary input either
 // fails Unmarshal cleanly or produces a predicate whose Marshal form is a
 // fixed point under a further round trip.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 
 	"quicksel"
@@ -62,8 +61,7 @@ const (
 // this costs nanoseconds:
 //
 //	uvarint len(name), name bytes
-//	8-byte LE selectivity bits
-//	binary predicate (predicate.AppendBinary)
+//	predicate.AppendObservation: 8-byte LE selectivity bits, binary predicate
 //
 // The rare record types (create, drop, events) stay JSON for debuggability.
 
@@ -92,8 +90,7 @@ func (s *observeScratch) encode(name string, recs []ParsedObservation) {
 func appendObservePayload(dst []byte, name string, pred *quicksel.Predicate, sel float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	dst = append(dst, name...)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sel))
-	return predicate.AppendBinary(dst, pred)
+	return predicate.AppendObservation(dst, pred, sel)
 }
 
 // decodeObservePayload decodes appendObservePayload's output.
@@ -102,20 +99,8 @@ func decodeObservePayload(data []byte) (name string, pred *quicksel.Predicate, s
 	if k <= 0 || uint64(len(data)-k) < n {
 		return "", nil, 0, fmt.Errorf("bad name length")
 	}
-	name = string(data[k : k+int(n)])
-	data = data[k+int(n):]
-	if len(data) < 8 {
-		return "", nil, 0, fmt.Errorf("truncated selectivity")
-	}
-	sel = math.Float64frombits(binary.LittleEndian.Uint64(data))
-	pred, rest, err := predicate.DecodeBinary(data[8:])
-	if err != nil {
-		return "", nil, 0, err
-	}
-	if len(rest) != 0 {
-		return "", nil, 0, fmt.Errorf("%d trailing bytes", len(rest))
-	}
-	return name, pred, sel, nil
+	pred, sel, err = predicate.DecodeObservation(data[k+int(n):])
+	return string(data[k : k+int(n)]), pred, sel, err
 }
 
 // walCreate carries the initial estimator state, so recovery rebuilds

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"quicksel"
+	"quicksel/internal/wal"
 )
 
 // closeAbrupt simulates a crash for tests: it stops the background worker
@@ -476,4 +478,79 @@ func TestWALCompactionBoundsLog(t *testing.T) {
 	if len(segs) > 2 {
 		t.Errorf("%d segments retained after full coverage, want <= 2: %v", len(segs), segs)
 	}
+}
+
+// TestWALObservationPayloadGolden pins the on-disk bytes of one observation
+// record at both logging layers: the library estimator's own log (WithWAL)
+// and the registry's log, whose payload is the estimator name followed by
+// the same bytes. Existing logs replay only while these bytes hold.
+func TestWALObservationPayloadGolden(t *testing.T) {
+	const (
+		where = "(age BETWEEN 30 AND 40 AND salary < 120000.5) OR NOT age >= 80"
+		sel   = 0.1875
+		// 8-byte LE selectivity bits, then predicate.AppendBinary.
+		estimatorHex = "000000000000c83f0302020201000000000000003e4000000000008044400101000000000000f0ff00000000084cfd400401000000000000005440000000000000f07f"
+		// uvarint name length and "people", then the estimator payload.
+		registryHex = "0670656f706c65000000000000c83f0302020201000000000000003e4000000000008044400101000000000000f0ff00000000084cfd400401000000000000005440000000000000f07f"
+	)
+	schema := walSchema(t)
+	pred, err := quicksel.Parse(schema, where)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	estDir := filepath.Join(t.TempDir(), "estimator")
+	est, err := quicksel.New(schema, quicksel.WithWAL(estDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Observe(pred, sel); err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := observationPayloadsHex(t, estDir); len(got) != 1 || got[0] != estimatorHex {
+		t.Errorf("estimator-level payloads = %q, want [%s]", got, estimatorHex)
+	}
+
+	regDir := filepath.Join(t.TempDir(), "registry")
+	reg, err := NewRegistry(Config{WALDir: regDir, TrainInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Create("people", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := reg.ObserveBatch("people", []Observation{{Where: where, Sel: sel}}); err != nil || n != 1 {
+		t.Fatalf("accepted %d, err %v", n, err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := observationPayloadsHex(t, regDir); len(got) != 1 || got[0] != registryHex {
+		t.Errorf("registry-level payloads = %q, want [%s]", got, registryHex)
+	}
+}
+
+// observationPayloadsHex reads the log in dir and returns the hex of every
+// observation record's payload (record type 1 at both logging layers).
+func observationPayloadsHex(t *testing.T, dir string) []string {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var out []string
+	err = l.Replay(1, func(rec wal.Record) error {
+		if rec.Type == walRecObserve {
+			out = append(out, hex.EncodeToString(rec.Payload))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

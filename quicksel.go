@@ -178,7 +178,7 @@ func (e *Estimator) Observe(p *Predicate, trueSelectivity float64) error {
 		// Encode the log record outside the lock; the append itself is
 		// staged under the lock so log order equals apply order, which is
 		// what makes replay reproduce the live run.
-		payload = appendObservationPayload(nil, p, trueSelectivity)
+		payload = predicate.AppendObservation(nil, p, trueSelectivity)
 	}
 	e.mu.Lock()
 	err = e.ingestLocked(boxes, trueSelectivity)
