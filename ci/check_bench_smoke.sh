@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
-# Bench-smoke guard for the instrumented hot paths: the estimate path (per
-# query) and the observe ingest path (per record) must stay within noise of
-# the committed BENCH_quicksel.json baseline. The telemetry layer records a
-# histogram sample (and, on observe, a q-error sample) per request — both
-# are ~12 ns lock-free atomics, so a guard failure means an accidental
-# allocation, lock, or syscall landed on the hot path.
+# Bench-smoke guard for two hot paths, each within noise of the committed
+# BENCH_quicksel.json baseline:
+#
+#   - estimate, per query: BenchmarkEstimate/m=250/d=2 in the root package,
+#     the compiled estimate kernel alone (core.Model.Estimate on a box). It
+#     runs no predicate parsing, registry, or histogram, so it guards the
+#     kernel, not the instrumented serving path.
+#   - observe, per record: BenchmarkObserveWalOff in internal/server,
+#     Registry.ObserveParsed with the WAL off, which records a latency
+#     histogram sample and a q-error sample per request (~12 ns lock-free
+#     atomics each).
+#
+# A guard failure means an accidental allocation, lock, or syscall landed on
+# one of those paths.
 #
 # The bound is deliberately loose (8x the committed numbers): shared CI
 # runners are slow and noisy, and this guard exists to catch order-of-
-# magnitude instrumentation regressions, not single-digit drift. The
+# magnitude regressions, not single-digit drift. The
 # committed baseline itself is regenerated by `go run ./cmd/quickselbench
 # perf` on a quiet host.
 #

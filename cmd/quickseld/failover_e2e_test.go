@@ -67,7 +67,7 @@ func TestFailoverKill9E2E(t *testing.T) {
 	// startDaemon waits on /readyz, which for a follower demands the fetch
 	// loop healthy and caught up — the replication-gated readiness.
 	follower := startDaemon(t, bin, freeAddr(t), t.TempDir(),
-		"-role", "follower", "-primary-url", "http://"+primaryAddr, "-follower-id", "f1")
+		"-role", "follower", "-primary-url", "http://"+primaryAddr, "-node-id", "f1")
 	defer follower.stop()
 
 	// Pre-failover invariants: the follower is read-only and redirects
@@ -196,7 +196,7 @@ func TestFollowerReplicationStatusE2E(t *testing.T) {
 	primary.createEstimator()
 
 	follower := startDaemon(t, bin, freeAddr(t), t.TempDir(),
-		"-role", "follower", "-primary-url", "http://"+primaryAddr, "-follower-id", "status-probe")
+		"-role", "follower", "-primary-url", "http://"+primaryAddr, "-node-id", "status-probe")
 	defer follower.stop()
 
 	// Stream after the follower attached so the records travel over the

@@ -54,7 +54,7 @@ func runFollower(cfg server.Config, v flagValues, logger *slog.Logger,
 		reg := srv.Registry()
 		f, err := replica.NewFetcher(replica.Config{
 			PrimaryURL: v.primaryURL,
-			FollowerID: v.followerID,
+			FollowerID: v.nodeID,
 			Resume:     reg.ReplicationResume,
 			Apply: func(recs []wal.Record, _ uint64) error {
 				return reg.Replicate(recs)
@@ -69,9 +69,7 @@ func runFollower(cfg server.Config, v flagValues, logger *slog.Logger,
 			logger.Error("quickseld: follower startup", slog.Any("error", err))
 			os.Exit(1)
 		}
-		reg.SetReplicationStatus(func() server.ReplicationStatus {
-			return toReplicationStatus(f.Stats())
-		})
+		reg.SetReplicationStatus(f.Stats)
 		// Promotion sequence: stop the fetch loop first (no record may be
 		// applied after the flip), then promote the registry.
 		srv.SetPromoteHook(func() (bool, error) {
@@ -140,26 +138,10 @@ func bootstrapIfEmpty(client *http.Client, cfg server.Config, v flagValues, logg
 		logger.Info("quickseld: primary has no snapshot configured; starting empty and tailing from seq 1")
 		return nil
 	}
-	dir := filepath.Dir(cfg.SnapshotPath)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(cfg.SnapshotPath), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".quickseld-bootstrap-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, cfg.SnapshotPath); err != nil {
-		os.Remove(tmpName)
+	if err := server.WriteFileDurable(cfg.SnapshotPath, data); err != nil {
 		return err
 	}
 	logger.Info("quickseld: bootstrapped from primary snapshot", slog.Int("bytes", len(data)))
@@ -175,22 +157,4 @@ func wipeLocalState(cfg server.Config) error {
 	}
 	_ = os.Remove(cfg.SnapshotPath + ".corrupt")
 	return os.RemoveAll(cfg.WALDir)
-}
-
-func toReplicationStatus(st replica.Stats) server.ReplicationStatus {
-	return server.ReplicationStatus{
-		Lag:           st.Lag,
-		CaughtUp:      st.CaughtUp,
-		Healthy:       st.Healthy,
-		Fetches:       st.Fetches,
-		FetchErrors:   st.FetchErrors,
-		TornResponses: st.TornResponses,
-		GapResponses:  st.GapResponses,
-		Records:       st.Records,
-		Bytes:         st.Bytes,
-		// Threads the primary's self-advertised address into
-		// Registry.PrimaryURL, keeping follower 503 hints correct after a
-		// failover re-points the fetch loop.
-		AdvertisedPrimary: st.PrimaryURL,
-	}
 }

@@ -53,8 +53,8 @@
 // promoted only if it wins (shadow).
 //
 // With -wal-dir set, the daemon also appends every acknowledged
-// observation (plus estimator creates, drops, and lifecycle events) to a
-// group-committed write-ahead log (internal/wal) before acknowledging it:
+// observation (plus estimator creates and drops) to a group-committed
+// write-ahead log (internal/wal) before acknowledging it:
 // a crash — even kill -9 — loses nothing a client was told succeeded. On
 // restart the daemon restores the snapshot, replays the log suffix the
 // snapshot does not cover, and resumes in the state an uncrashed run would
@@ -129,7 +129,6 @@ type flagValues struct {
 	primaryURL        string
 	advertiseURL      string
 	nodeID            string
-	followerID        string
 	replAck           string
 	replAckTimeout    time.Duration
 	replPollWait      time.Duration
@@ -282,8 +281,7 @@ func main() {
 	flag.StringVar(&v.role, "role", server.RolePrimary, "replication role: primary or follower")
 	flag.StringVar(&v.primaryURL, "primary-url", "", "primary's base URL (required with -role=follower; e.g. http://10.0.0.1:7075)")
 	flag.StringVar(&v.advertiseURL, "advertise-url", "", "base URL at which THIS node is reachable by clients and routers; stamped on X-Quickseld-Primary redirect hints and /v1/replication/status (e.g. http://10.0.0.2:7075)")
-	flag.StringVar(&v.nodeID, "node-id", "", "stable node identity reported on /v1/replication/status (default hostname+addr)")
-	flag.StringVar(&v.followerID, "follower-id", "", "stable follower identity reported to the primary (default hostname+addr)")
+	flag.StringVar(&v.nodeID, "node-id", "", "stable node identity reported on /v1/replication/status; a follower's primary tracks it under this ID (default hostname+addr)")
 	flag.StringVar(&v.replAck, "repl-ack", server.AckPrimary, "write acknowledgment mode on the primary: primary (local durability) or follower (semi-sync: wait for a follower's fetch watermark)")
 	flag.DurationVar(&v.replAckTimeout, "repl-ack-timeout", server.DefaultReplicationAckTimeout, "semi-sync ack wait bound before degrading to a local ack")
 	flag.DurationVar(&v.replPollWait, "repl-poll-wait", 5*time.Second, "follower long-poll duration per WAL fetch")
@@ -348,10 +346,6 @@ func main() {
 	var srvSlot atomic.Pointer[server.Server]
 	stopRepl := func() {}
 	if cfg.Role == server.RoleFollower {
-		if v.followerID == "" {
-			host, _ := os.Hostname()
-			v.followerID = host + *addr
-		}
 		stop := make(chan struct{})
 		replDone := make(chan struct{})
 		go func() {

@@ -281,7 +281,6 @@ func TestClusterFailoverE2E(t *testing.T) {
 			"-seed", "7",
 			"-role", "follower",
 			"-primary-url", "http://"+pAddr,
-			"-follower-id", id+"/f",
 			"-advertise-url", "http://"+fAddr,
 			"-node-id", id+"/f")
 		follower.waitReady(15 * time.Second)

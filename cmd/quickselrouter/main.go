@@ -155,11 +155,10 @@ func main() {
 		fatal("quickselrouter: -shard", err)
 	}
 	tracker, err := cluster.NewTracker(m, cluster.TrackerConfig{
-		Interval:      *healthInterval,
-		MaxReadLag:    *maxReadLag,
-		Vnodes:        *vnodes,
-		Logger:        logger,
-		PollTelemetry: true,
+		Interval:   *healthInterval,
+		MaxReadLag: *maxReadLag,
+		Vnodes:     *vnodes,
+		Logger:     logger,
 	})
 	if err != nil {
 		fatal("quickselrouter: tracker", err)

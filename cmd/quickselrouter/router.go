@@ -345,17 +345,12 @@ func (rt *Router) doOnce(r *http.Request, target, method, pathQuery string, body
 
 // traceChild attaches the shard's echoed completed span to the router's
 // root span. The echo travels as an HTTP trailer (the shard's span only
-// completes after its body), readable once the body is drained; older nodes
-// that answered before the trailer announcement fall back to the header.
+// completes after its body), readable once the body is drained.
 func traceChild(sp *obs.Span, resp *http.Response) {
 	if sp == nil {
 		return
 	}
-	v := resp.Trailer.Get(obs.HeaderTrace)
-	if v == "" {
-		v = resp.Header.Get(obs.HeaderTrace)
-	}
-	if t, ok := obs.DecodeTraceHeader(v); ok {
+	if t, ok := obs.DecodeTraceHeader(resp.Trailer.Get(obs.HeaderTrace)); ok {
 		sp.AddChild(t)
 	}
 }

@@ -85,8 +85,7 @@ func newFakeShard(t *testing.T, role string) *fakeShard {
 		status, answer := f.status, f.answer
 		node := f.nodeID
 		// Mirror quickseld's trace echo: a sampled upstream traceparent gets
-		// the completed child span back on X-Quickseld-Trace (a plain header
-		// here — the router also accepts the non-trailer form).
+		// the completed child span back in the X-Quickseld-Trace trailer.
 		if id, parent, sampled, ok := obs.ParseTraceParent(r.Header.Get(obs.HeaderTraceParent)); ok && sampled {
 			child := obs.Trace{
 				ID: id, Parent: parent, Node: node, Kind: "http",
@@ -95,7 +94,7 @@ func newFakeShard(t *testing.T, role string) *fakeShard {
 				Stages: []obs.Stage{{Name: "decode", Dur: time.Microsecond}, {Name: "model", Dur: time.Millisecond}},
 			}
 			if v, ok := obs.EncodeTraceHeader(child); ok {
-				w.Header().Set(obs.HeaderTrace, v)
+				w.Header().Set(http.TrailerPrefix+obs.HeaderTrace, v)
 			}
 		}
 		ests := append([]string(nil), f.estimators...)
@@ -708,9 +707,8 @@ func TestRouterFederatedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracker, err := cluster.NewTracker(m, cluster.TrackerConfig{
-		Interval:      20 * time.Millisecond,
-		Logger:        obs.Discard(),
-		PollTelemetry: true,
+		Interval: 20 * time.Millisecond,
+		Logger:   obs.Discard(),
 	})
 	if err != nil {
 		t.Fatal(err)

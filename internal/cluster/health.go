@@ -34,12 +34,6 @@ type TrackerConfig struct {
 	// (default DefaultVnodes). Every router over one cluster must use the
 	// same value, or they will disagree on ownership.
 	Vnodes int
-	// PollTelemetry extends each probe round with GET /v1/telemetry, the
-	// node's full metric snapshot, for the router's federated cluster view
-	// (Tracker.Telemetry and cluster.Federate). Off by default: only a
-	// front door that actually serves the federated families should pay
-	// the extra request per node per cycle.
-	PollTelemetry bool
 	// Client issues the probes; default is a plain http.Client with the
 	// probe timeout.
 	Client *http.Client
@@ -94,21 +88,22 @@ type nodeState struct {
 	st    NodeStatus
 
 	// Latest telemetry snapshot polled from GET /v1/telemetry (nil before
-	// the first successful poll; only fetched under PollTelemetry), guarded
-	// by mu. A failed poll keeps the previous snapshot and its fetch time,
-	// so the node's staleness gauge grows instead of the data vanishing.
+	// the first successful poll), guarded by mu. A failed poll keeps the
+	// previous snapshot and its fetch time, so the node's staleness gauge
+	// grows instead of the data vanishing.
 	telem    *obs.Telemetry
 	telemAt  time.Time
 	telemErr string
 }
 
 // Tracker polls every node in a shard map — GET /readyz for serving
-// readiness and GET /v1/replication/status for role, lag, and advertised
-// address — with jittered intervals and exponential backoff on failure. It
-// maintains each shard's primary pointer, flipping it when a follower is
-// promoted, and answers placement-adjacent queries for a router: where do
-// writes for a shard go, which followers are safe read targets, is the
-// cluster ready.
+// readiness, GET /v1/replication/status for role, lag, and advertised
+// address, and GET /v1/telemetry from healthy nodes for the federated
+// cluster view (Telemetry, Federate) — with jittered intervals and
+// exponential backoff on failure. It maintains each shard's primary
+// pointer, flipping it when a follower is promoted, and answers
+// placement-adjacent queries for a router: where do writes for a shard
+// go, which followers are safe read targets, is the cluster ready.
 type Tracker struct {
 	ring *Ring
 	cfg  TrackerConfig
@@ -280,7 +275,7 @@ func (t *Tracker) probe(ns *nodeState) bool {
 	ns.st = cur
 	ns.mu.Unlock()
 
-	if t.cfg.PollTelemetry && cur.Healthy {
+	if cur.Healthy {
 		tel, telErr := t.probeTelemetry(ctx, ns.node.URL)
 		ns.mu.Lock()
 		switch {

@@ -137,16 +137,6 @@ func (m Map) ShardIDs() []string {
 	return ids
 }
 
-// ShardByID returns the named shard.
-func (m Map) ShardByID(id string) (Shard, bool) {
-	for _, sh := range m.Shards {
-		if sh.ID == id {
-			return sh, true
-		}
-	}
-	return Shard{}, false
-}
-
 // FNV-1a 64-bit constants; the raw FNV value is finished with a
 // murmur-style mixer because FNV alone clusters on short suffix-varying
 // keys (estimator names, "shard/<i>" vnode labels) and ring balance lives

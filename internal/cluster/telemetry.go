@@ -14,11 +14,11 @@ import (
 )
 
 // Telemetry federation: the tracker polls every node's GET /v1/telemetry on
-// its health cadence (TrackerConfig.PollTelemetry) and Federate merges the
-// per-node snapshots into one cluster view — counters summed and histograms
-// merged bucket-wise per (shard, role), every family renamed into the
-// quickselcluster_* namespace so a router's own quickselrouter_* series and
-// the shards' quickseld_* series it scrapes directly can never collide.
+// its health cadence and Federate merges the per-node snapshots into one
+// cluster view — counters summed and histograms merged bucket-wise per
+// (shard, role), every family renamed into the quickselcluster_* namespace
+// so a router's own quickselrouter_* series and the shards' quickseld_*
+// series it scrapes directly can never collide.
 // Gauges are deliberately NOT federated: summing instantaneous per-node
 // facts (backlog, lag, model version) across a cluster produces numbers that
 // mean nothing; consumers who need them read /v1/cluster/telemetry, where

@@ -184,7 +184,7 @@ func TestTrackerPollsTelemetryAndFlipsStale(t *testing.T) {
 		json.NewEncoder(w).Encode(telemetryOf("fake", "primary", float64(telemHits)))
 	})
 
-	tr := trackerFor(t, TrackerConfig{PollTelemetry: true},
+	tr := trackerFor(t, TrackerConfig{},
 		Shard{ID: "s0", Nodes: []Node{{URL: f.srv.URL}}})
 
 	deadline := time.Now().Add(5 * time.Second)

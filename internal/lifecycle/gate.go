@@ -28,24 +28,15 @@ func (r ShadowResult) LogValue() slog.Value {
 }
 
 // HoldoutSize returns how many records of an n-record training batch the
-// shadow gate holds out for scoring: fraction·n, at least 1 when the batch
-// can spare a record for training (n ≥ 2), 0 otherwise. A batch too small
-// to split is promoted without scoring — there is nothing to score against.
-func HoldoutSize(n int, fraction float64) int {
+// shadow gate holds out for scoring: the shadowFraction share of the batch
+// (rounded down), at least 1 when the batch can spare a record for training
+// (n ≥ 2), 0 otherwise. A batch too small to split is promoted without
+// scoring — there is nothing to score against.
+func HoldoutSize(n int) int {
 	if n < 2 {
 		return 0
 	}
-	if fraction <= 0 || fraction >= 1 {
-		fraction = DefaultShadowFraction
-	}
-	k := int(float64(n) * fraction)
-	if k < 1 {
-		k = 1
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	return k
+	return max(int(float64(n)*shadowFraction), 1)
 }
 
 // Shadow scores a challenger against the serving champion on held-out

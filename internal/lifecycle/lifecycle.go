@@ -78,17 +78,17 @@ const (
 	// in [0, 1], so 0.25 means the error mass has run a quarter of the domain
 	// above its running mean since the healthiest point of the window.
 	DefaultDriftThreshold = 0.25
-	// DefaultDriftDelta is the Page–Hinkley tolerance δ: per-sample error
-	// excursions below δ never accumulate toward the alarm.
-	DefaultDriftDelta = 0.005
 	// DefaultHistory bounds the version store.
 	DefaultHistory = 4
-	// DefaultShadowFraction is the share of a training batch held out for
-	// champion/challenger scoring under PolicyShadow.
-	DefaultShadowFraction = 0.25
+	// driftDelta is the Page–Hinkley tolerance δ: per-sample error
+	// excursions below δ never accumulate toward the alarm.
+	driftDelta = 0.005
 	// driftMinSamples is the number of tracked samples before the detector
 	// may alarm; Page–Hinkley needs a settled running mean.
 	driftMinSamples = 8
+	// shadowFraction is the share of a training batch held out for
+	// champion/challenger scoring under PolicyShadow.
+	shadowFraction = 0.25
 )
 
 // Config tunes the lifecycle machinery. The zero value of every field
@@ -103,13 +103,8 @@ type Config struct {
 	// A negative value disables drift detection (+Inf also works but cannot
 	// be JSON-persisted).
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
-	// DriftDelta is the Page–Hinkley tolerance δ (default 0.005).
-	DriftDelta float64 `json:"drift_delta,omitempty"`
 	// History bounds the version store (default 4).
 	History int `json:"history,omitempty"`
-	// ShadowFraction is the held-out share of a training batch under
-	// PolicyShadow (default 0.25).
-	ShadowFraction float64 `json:"shadow_fraction,omitempty"`
 }
 
 // WithDefaults returns the config with every zero field replaced by its
@@ -124,14 +119,8 @@ func (c Config) WithDefaults() Config {
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = DefaultDriftThreshold
 	}
-	if c.DriftDelta <= 0 {
-		c.DriftDelta = DefaultDriftDelta
-	}
 	if c.History <= 0 {
 		c.History = DefaultHistory
-	}
-	if c.ShadowFraction <= 0 || c.ShadowFraction >= 1 {
-		c.ShadowFraction = DefaultShadowFraction
 	}
 	return c
 }
@@ -149,14 +138,8 @@ func (c Config) Merge(override Config) Config {
 	if override.DriftThreshold != 0 {
 		c.DriftThreshold = override.DriftThreshold
 	}
-	if override.DriftDelta > 0 {
-		c.DriftDelta = override.DriftDelta
-	}
 	if override.History > 0 {
 		c.History = override.History
-	}
-	if override.ShadowFraction > 0 {
-		c.ShadowFraction = override.ShadowFraction
 	}
 	return c
 }

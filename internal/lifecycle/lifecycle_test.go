@@ -71,7 +71,7 @@ func TestTrackerWindow(t *testing.T) {
 // estimates followed by a persistent error jump must trip the detector, and
 // accurate estimates alone must not.
 func TestTrackerDriftDetection(t *testing.T) {
-	cfg := Config{Window: 64, DriftThreshold: 0.2, DriftDelta: 0.005}
+	cfg := Config{Window: 64, DriftThreshold: 0.2}
 	tr := NewTracker(cfg)
 	for i := 0; i < 50; i++ {
 		if tr.Add(0.30, 0.31) {
@@ -296,13 +296,15 @@ func TestHoldoutSize(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{
 		{0, 0}, {1, 0}, {2, 1}, {4, 1}, {8, 2}, {100, 25},
 	} {
-		if got := HoldoutSize(tc.n, 0.25); got != tc.want {
+		if got := HoldoutSize(tc.n); got != tc.want {
 			t.Errorf("HoldoutSize(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}
 	// The holdout must always leave at least one training record.
-	if got := HoldoutSize(2, 0.99); got != 1 {
-		t.Errorf("HoldoutSize(2, 0.99) = %d, want 1", got)
+	for n := 2; n <= 100; n++ {
+		if got := HoldoutSize(n); got < 1 || got > n-1 {
+			t.Errorf("HoldoutSize(%d) = %d, want in [1, %d]", n, got, n-1)
+		}
 	}
 }
 
@@ -314,7 +316,7 @@ func TestConfigMergeDefaults(t *testing.T) {
 	}
 	d := Config{}.WithDefaults()
 	if d.Policy != PolicyAlways || d.Window != DefaultWindow || d.DriftThreshold != DefaultDriftThreshold ||
-		d.History != DefaultHistory || d.ShadowFraction != DefaultShadowFraction {
+		d.History != DefaultHistory {
 		t.Fatalf("defaults = %+v", d)
 	}
 }

@@ -18,8 +18,8 @@ type Sample struct {
 // The Page–Hinkley test watches the cumulative deviation of the error above
 // its running mean, m_t = Σ(x_i − x̄_i − δ), and alarms when m_t rises more
 // than λ above its historical minimum — i.e. when the error has been
-// persistently worse than its own history, not merely noisy. δ and λ come
-// from Config (DriftDelta, DriftThreshold).
+// persistently worse than its own history, not merely noisy. δ is the
+// package constant driftDelta; λ comes from Config.DriftThreshold.
 //
 // A Tracker is not safe for concurrent use; callers (the public Estimator,
 // the serving registry) hold their own locks.
@@ -67,7 +67,7 @@ func (t *Tracker) Add(estimate, actual float64) bool {
 	x := math.Abs(estimate - actual)
 	t.phN++
 	t.phMean += (x - t.phMean) / float64(t.phN)
-	t.phM += x - t.phMean - t.cfg.DriftDelta
+	t.phM += x - t.phMean - driftDelta
 	if t.phM < t.phMin {
 		t.phMin = t.phM
 	}

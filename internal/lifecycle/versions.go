@@ -69,9 +69,6 @@ func NewStore(bound int) *Store {
 	return &Store{next: 1, bound: bound}
 }
 
-// Bound returns the history bound.
-func (s *Store) Bound() int { return s.bound }
-
 // Init records version 1, the model the estimator was created (or reloaded)
 // with.
 func (s *Store) Init(origin string, payload json.RawMessage) Version {

@@ -225,14 +225,6 @@ func (s HistSnapshot) ValueQuantile(q float64) float64 {
 	return float64(s.Quantile(q)) / valueUnit
 }
 
-// ValueMean returns the average recorded value (0 when empty).
-func (s HistSnapshot) ValueMean() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Sum) / valueUnit / float64(s.Total)
-}
-
 // WritePrometheusValue renders a value histogram (recorded through
 // ObserveValue) with le bounds and _sum scaled out of the duration domain,
 // so the exposition reads in true dimensionless units.

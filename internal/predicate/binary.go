@@ -7,9 +7,8 @@ import (
 )
 
 // Binary encoding for predicates: the write-ahead log's observation records
-// are the ingest hot path, and the JSON form costs microseconds per record
-// against this codec's nanoseconds. The format is a preorder walk of the
-// tree:
+// are the ingest hot path, so a predicate persists as a compact preorder
+// walk of its tree:
 //
 //	byte kind: 0 All, 1 Leaf, 2 And, 3 Or, 4 Not
 //	Leaf:      uvarint col, 8-byte LE lo bits, 8-byte LE hi bits

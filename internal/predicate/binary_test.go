@@ -1,9 +1,6 @@
 package predicate
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func twoColSchema(t *testing.T) *Schema {
 	t.Helper()
@@ -17,16 +14,16 @@ func twoColSchema(t *testing.T) *Schema {
 	return s
 }
 
-// TestPredicateJSONRoundTrip checks that every node kind survives a
-// marshal/unmarshal cycle with bit-identical lowered boxes — the property
-// the write-ahead log's replay path depends on.
-func TestPredicateJSONRoundTrip(t *testing.T) {
+// TestPredicateBinaryRoundTrip checks that every node kind survives an
+// AppendBinary/DecodeBinary cycle with bit-identical lowered boxes — the
+// property the write-ahead log's replay path depends on.
+func TestPredicateBinaryRoundTrip(t *testing.T) {
 	s := twoColSchema(t)
 	preds := []*Predicate{
 		All(),
 		Range(0, 1.25, 7.5),
-		AtLeast(0, 3.3), // +Inf bound, elided in JSON
-		AtMost(1, 42),   // -Inf bound, elided in JSON
+		AtLeast(0, 3.3), // +Inf upper bound
+		AtMost(1, 42),   // -Inf lower bound
 		Eq(1, 7),
 		In(1, 3, 5, 9),
 		And(Range(0, 1, 2), Eq(1, 4)),
@@ -36,13 +33,13 @@ func TestPredicateJSONRoundTrip(t *testing.T) {
 		Range(0, 0.1+0.2, 3.0000000001), // non-representable decimals must round-trip exactly
 	}
 	for i, p := range preds {
-		data, err := json.Marshal(p)
+		data := AppendBinary(nil, p)
+		back, rest, err := DecodeBinary(data)
 		if err != nil {
-			t.Fatalf("pred %d marshal: %v", i, err)
+			t.Fatalf("pred %d decode %x: %v", i, data, err)
 		}
-		var back Predicate
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("pred %d unmarshal %s: %v", i, data, err)
+		if len(rest) != 0 {
+			t.Fatalf("pred %d: decode left %d bytes", i, len(rest))
 		}
 		want, err := p.Boxes(s)
 		if err != nil {
@@ -62,22 +59,6 @@ func TestPredicateJSONRoundTrip(t *testing.T) {
 						got[j].Lo[k], got[j].Hi[k], want[j].Lo[k], want[j].Hi[k])
 				}
 			}
-		}
-	}
-}
-
-func TestPredicateJSONRejectsMalformed(t *testing.T) {
-	bad := []string{
-		`{}`,                          // no kind
-		`{"all": true, "col": 0}`,     // two kinds
-		`{"all": false}`,              // all must be true
-		`{"and": [{"col": 0}, null]}`, // null child
-		`{"or": "nope"}`,              // wrong type
-	}
-	for _, in := range bad {
-		var p Predicate
-		if err := json.Unmarshal([]byte(in), &p); err == nil {
-			t.Errorf("accepted malformed predicate %s", in)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package predicate
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 )
@@ -81,43 +80,4 @@ func TestObservationCodec(t *testing.T) {
 			t.Fatalf("seed %d: trailing byte accepted", i)
 		}
 	}
-}
-
-// FuzzJSONRoundTrip does the same for the JSON codec: arbitrary input either
-// fails Unmarshal cleanly or produces a predicate whose Marshal form is a
-// fixed point under a further round trip.
-func FuzzJSONRoundTrip(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"all": true}`))
-	f.Add([]byte(`{"all": true, "col": 0}`)) // mixed kinds: must be rejected
-	f.Add([]byte(`{"col": 0, "lo": 1e308}`))
-	f.Add([]byte(`{"and": [{"col": 0, "hi": 2}, {"not": {"all": true}}]}`))
-	f.Add([]byte(`{"or": []}`))
-	for _, p := range fuzzSeedPredicates() {
-		if b, err := json.Marshal(p); err == nil {
-			f.Add(b)
-		}
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var p Predicate
-		if err := json.Unmarshal(data, &p); err != nil {
-			return
-		}
-		j1, err := json.Marshal(&p)
-		if err != nil {
-			t.Fatalf("marshal of decoded predicate %s: %v", &p, err)
-		}
-		var p2 Predicate
-		if err := json.Unmarshal(j1, &p2); err != nil {
-			t.Fatalf("re-unmarshal of %s: %v", j1, err)
-		}
-		j2, err := json.Marshal(&p2)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if !bytes.Equal(j1, j2) {
-			t.Fatalf("JSON form is not a fixed point:\nj1 %s\nj2 %s", j1, j2)
-		}
-	})
 }

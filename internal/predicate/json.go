@@ -3,7 +3,6 @@ package predicate
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // JSON encoding for schemas. Column kinds serialize as the strings "real",
@@ -57,115 +56,5 @@ func (s *Schema) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = *checked
-	return nil
-}
-
-// JSON encoding for predicates, used by the write-ahead log to persist
-// observations structurally (Predicate.String is for logs and does not
-// round-trip). The shape is flat, one key set per node kind:
-//
-//	{"all": true}                          All
-//	{"col": 0, "lo": 1.5, "hi": 2}         Range — an omitted bound is
-//	                                       infinite (JSON cannot carry ±Inf)
-//	{"and": [...]} / {"or": [...]}         conjunction / disjunction
-//	{"not": {...}}                         negation
-//
-// encoding/json emits float64s in their shortest exactly-round-tripping
-// form, so a decoded predicate lowers to bit-identical boxes.
-
-// predJSON is the wire shape of one predicate node.
-type predJSON struct {
-	All *bool        `json:"all,omitempty"`
-	Col *int         `json:"col,omitempty"`
-	Lo  *float64     `json:"lo,omitempty"`
-	Hi  *float64     `json:"hi,omitempty"`
-	And []*Predicate `json:"and,omitempty"`
-	Or  []*Predicate `json:"or,omitempty"`
-	Not *Predicate   `json:"not,omitempty"`
-}
-
-// MarshalJSON encodes the predicate tree in the flat node shape above.
-func (p *Predicate) MarshalJSON() ([]byte, error) {
-	var raw predJSON
-	switch p.k {
-	case kindAll:
-		t := true
-		raw.All = &t
-	case kindLeaf:
-		col := p.leaf.Col
-		raw.Col = &col
-		if !math.IsInf(p.leaf.Lo, -1) {
-			lo := p.leaf.Lo
-			raw.Lo = &lo
-		}
-		if !math.IsInf(p.leaf.Hi, 1) {
-			hi := p.leaf.Hi
-			raw.Hi = &hi
-		}
-	case kindAnd:
-		raw.And = p.kids
-	case kindOr:
-		raw.Or = p.kids
-	case kindNot:
-		raw.Not = p.kids[0]
-	default:
-		return nil, fmt.Errorf("predicate: cannot marshal unknown node kind %d", int(p.k))
-	}
-	return json.Marshal(&raw)
-}
-
-// UnmarshalJSON decodes the shape produced by MarshalJSON, rejecting nodes
-// that mix kinds or carry none.
-func (p *Predicate) UnmarshalJSON(data []byte) error {
-	var raw predJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	kinds := 0
-	for _, set := range []bool{raw.All != nil, raw.Col != nil, raw.And != nil, raw.Or != nil, raw.Not != nil} {
-		if set {
-			kinds++
-		}
-	}
-	if kinds != 1 {
-		return fmt.Errorf("predicate: node must have exactly one of all/col/and/or/not, got %d", kinds)
-	}
-	switch {
-	case raw.All != nil:
-		if !*raw.All {
-			return fmt.Errorf("predicate: \"all\" must be true")
-		}
-		*p = Predicate{k: kindAll}
-	case raw.Col != nil:
-		leaf := Constraint{Col: *raw.Col, Lo: math.Inf(-1), Hi: math.Inf(1)}
-		if raw.Lo != nil {
-			leaf.Lo = *raw.Lo
-		}
-		if raw.Hi != nil {
-			leaf.Hi = *raw.Hi
-		}
-		*p = Predicate{k: kindLeaf, leaf: leaf}
-	case raw.Not != nil:
-		*p = Predicate{k: kindNot, kids: []*Predicate{raw.Not}}
-	case raw.And != nil:
-		if err := checkKids(raw.And, "and"); err != nil {
-			return err
-		}
-		*p = *And(raw.And...)
-	case raw.Or != nil:
-		if err := checkKids(raw.Or, "or"); err != nil {
-			return err
-		}
-		*p = *Or(raw.Or...)
-	}
-	return nil
-}
-
-func checkKids(kids []*Predicate, key string) error {
-	for i, k := range kids {
-		if k == nil {
-			return fmt.Errorf("predicate: %q child %d is null", key, i)
-		}
-	}
 	return nil
 }

@@ -182,8 +182,9 @@ type Stats struct {
 	Healthy       bool   `json:"healthy"`
 	// PrimaryURL is the reachable base URL the primary last stamped on a
 	// WAL response (X-Quickseld-Primary, its -advertise-url); empty until
-	// a primary that advertises itself answers.
-	PrimaryURL string `json:"primary_url,omitempty"`
+	// a primary that advertises itself answers. A follower's
+	// GET /v1/replication/status reports it as advertised_primary.
+	PrimaryURL string `json:"advertised_primary,omitempty"`
 }
 
 // Fetcher tails one primary's WAL. Build with NewFetcher, drive with Run

@@ -181,7 +181,12 @@ func TestFetcherTailsCleanPrimary(t *testing.T) {
 			t.Fatalf("record %d = %+v", i, rec)
 		}
 	}
+	// The round records its counters just after Apply returns; Healthy
+	// (the round's success time) is set last.
 	st := f.Stats()
+	for deadline := time.Now().Add(10 * time.Second); !st.Healthy && time.Now().Before(deadline); st = f.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Lag != 0 || !st.CaughtUp || !st.Healthy {
 		t.Fatalf("Stats after catch-up = %+v", st)
 	}

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -100,8 +102,8 @@ func TestPrimaryURLPrefersAdvertised(t *testing.T) {
 	// The fetch loop pushes status including the primary's self-advertised
 	// address; the hint must switch to it.
 	adv := ""
-	reg.SetReplicationStatus(func() ReplicationStatus {
-		return ReplicationStatus{AdvertisedPrimary: adv}
+	reg.SetReplicationStatus(func() replica.Stats {
+		return replica.Stats{PrimaryURL: adv}
 	})
 	if got := reg.PrimaryURL(); got != "http://primary.example:7075" {
 		t.Fatalf("PrimaryURL with empty advertised = %q", got)
@@ -109,6 +111,26 @@ func TestPrimaryURLPrefersAdvertised(t *testing.T) {
 	adv = "http://promoted.example:7076"
 	if got := reg.PrimaryURL(); got != "http://promoted.example:7076" {
 		t.Fatalf("PrimaryURL with advertised primary = %q", got)
+	}
+
+	// GET /v1/replication/status carries the fetch loop's state, the
+	// learned address as advertised_primary.
+	rec := httptest.NewRecorder()
+	(&Server{reg: reg}).handleReplicationStatus(rec, httptest.NewRequest("GET", "/v1/replication/status", nil))
+	var body struct {
+		Replication map[string]any `json:"replication"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range body.Replication {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if strings.Join(keys, ",") != "advertised_primary,bytes,caught_up,fetch_errors,fetches,gap_responses,healthy,lag,records,torn_responses" ||
+		body.Replication["advertised_primary"] != adv {
+		t.Fatalf("replication status = %s", rec.Body)
 	}
 }
 

@@ -21,30 +21,25 @@ type Server struct {
 	reg *Registry
 	mux *http.ServeMux
 
-	// Request counters by endpoint, exposed on /metrics.
-	reqCreate        atomic.Uint64
-	reqObserve       atomic.Uint64
-	reqEstimate      atomic.Uint64
-	reqEstimateBatch atomic.Uint64
-	reqList          atomic.Uint64
-	reqTelemetry     atomic.Uint64
-	reqTrain         atomic.Uint64
-	reqDrop          atomic.Uint64
-	reqSnapshot      atomic.Uint64
-	reqMetrics       atomic.Uint64
-	reqVersions      atomic.Uint64
-	reqRollback      atomic.Uint64
-	reqAccuracy      atomic.Uint64
-	reqReplWAL       atomic.Uint64
-	reqReplSnapshot  atomic.Uint64
-	reqReplPromote   atomic.Uint64
-	reqReplStatus    atomic.Uint64
-	reqRoleRejected  atomic.Uint64
-	reqErrors        atomic.Uint64
+	// Request counters, exposed on /metrics: served[i] counts the requests
+	// routes[i] (the table New builds) served; reqRoleRejected and
+	// reqErrors span routes.
+	routes          []route
+	served          []atomic.Uint64
+	reqRoleRejected atomic.Uint64
+	reqErrors       atomic.Uint64
 
 	// promoteHook, when set, replaces Registry.Promote behind
 	// POST /v1/replication/promote (see SetPromoteHook).
 	promoteHook atomic.Pointer[func() (bool, error)]
+}
+
+// route is one row of the counted route table: a mux pattern, the
+// /metrics counter of the requests it served with that counter's help
+// text, and the handler.
+type route struct {
+	pattern, counter, help string
+	handle                 http.HandlerFunc
 }
 
 // MaxRequestBytes caps one /v1 JSON request body. Larger bodies get 413:
@@ -61,23 +56,33 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/estimators", s.handleCreate)
-	s.mux.HandleFunc("GET /v1/estimators", s.handleList)
-	s.mux.HandleFunc("DELETE /v1/estimators/{name}", s.handleDrop)
-	s.mux.HandleFunc("POST /v1/{name}/observe", s.handleObserve)
-	s.mux.HandleFunc("GET /v1/{name}/estimate", s.handleEstimate)
-	s.mux.HandleFunc("POST /v1/{name}/estimate/batch", s.handleEstimateBatch)
-	s.mux.HandleFunc("POST /v1/{name}/train", s.handleTrain)
-	s.mux.HandleFunc("GET /v1/{name}/versions", s.handleVersions)
-	s.mux.HandleFunc("POST /v1/{name}/rollback", s.handleRollback)
-	s.mux.HandleFunc("GET /v1/{name}/accuracy", s.handleAccuracy)
-	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/replication/wal", s.handleReplicationWAL)
-	s.mux.HandleFunc("GET /v1/replication/snapshot", s.handleReplicationSnapshot)
-	s.mux.HandleFunc("POST /v1/replication/promote", s.handlePromote)
-	s.mux.HandleFunc("GET /v1/replication/status", s.handleReplicationStatus)
-	s.mux.HandleFunc("GET /v1/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// Rows are in /metrics exposition order.
+	s.routes = []route{
+		{"POST /v1/estimators", "quickseld_requests_create_total", "POST /v1/estimators requests served.", s.handleCreate},
+		{"POST /v1/{name}/observe", "quickseld_requests_observe_total", "Observe requests served.", s.handleObserve},
+		{"GET /v1/{name}/estimate", "quickseld_requests_estimate_total", "Estimate requests served.", s.handleEstimate},
+		{"POST /v1/{name}/estimate/batch", "quickseld_requests_estimate_batch_total", "Batch estimate requests served.", s.handleEstimateBatch},
+		{"POST /v1/{name}/train", "quickseld_requests_train_total", "Explicit train requests served.", s.handleTrain},
+		{"GET /v1/estimators", "quickseld_requests_list_total", "List requests served.", s.handleList},
+		{"DELETE /v1/estimators/{name}", "quickseld_requests_drop_total", "Drop requests served.", s.handleDrop},
+		{"POST /v1/snapshot", "quickseld_requests_snapshot_total", "Explicit snapshot requests served.", s.handleSnapshot},
+		{"GET /v1/{name}/versions", "quickseld_requests_versions_total", "Version-listing requests served.", s.handleVersions},
+		{"POST /v1/{name}/rollback", "quickseld_requests_rollback_total", "Rollback requests served.", s.handleRollback},
+		{"GET /v1/{name}/accuracy", "quickseld_requests_accuracy_total", "Accuracy requests served.", s.handleAccuracy},
+		{"GET /metrics", "quickseld_requests_metrics_total", "Metrics scrapes served.", s.handleMetrics},
+		{"GET /v1/telemetry", "quickseld_requests_telemetry_total", "Telemetry snapshot fetches served.", s.handleTelemetry},
+		{"GET /v1/replication/wal", "quickseld_requests_replication_wal_total", "WAL fetches served to followers.", s.handleReplicationWAL},
+		{"GET /v1/replication/snapshot", "quickseld_requests_replication_snapshot_total", "Snapshot bootstraps served to followers.", s.handleReplicationSnapshot},
+		{"POST /v1/replication/promote", "quickseld_requests_replication_promote_total", "Promotion requests served.", s.handlePromote},
+		{"GET /v1/replication/status", "quickseld_requests_replication_status_total", "Replication status requests served.", s.handleReplicationStatus},
+	}
+	s.served = make([]atomic.Uint64, len(s.routes))
+	for i, rt := range s.routes {
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			s.served[i].Add(1)
+			rt.handle(w, r)
+		})
+	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -368,7 +373,6 @@ func (o *createOptions) toOptions() []quicksel.Option {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	s.reqCreate.Add(1)
 	var req createRequest
 	// Strict decoding: a typo like "metod" or "schmea" used to be silently
 	// ignored, leaving the client with a default estimator it did not ask
@@ -397,12 +401,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.reqList.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{"estimators": s.reg.List()})
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
-	s.reqDrop.Add(1)
 	if err := s.reg.Drop(r.PathValue("name")); err != nil {
 		s.writeError(w, err)
 		return
@@ -430,7 +432,6 @@ type observeResponse struct {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	s.reqObserve.Add(1)
 	name := r.PathValue("name")
 	var req observeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -474,7 +475,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.reqEstimate.Add(1)
 	name := r.PathValue("name")
 	where := r.URL.Query().Get("where")
 	if where == "" {
@@ -513,7 +513,6 @@ const MaxEstimateBatch = 4096
 // and JSON overhead, predicate parsing, and estimator lock acquisition
 // across the batch. Selectivities are returned in input order.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqEstimateBatch.Add(1)
 	name := r.PathValue("name")
 	var req estimateBatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -550,7 +549,6 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	s.reqTrain.Add(1)
 	name := r.PathValue("name")
 	if err := s.reg.Train(name); err != nil {
 		s.writeError(w, err)
@@ -563,7 +561,6 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 // one plus the bounded archive of previous champions and rejected
 // challengers, metadata only.
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	s.reqVersions.Add(1)
 	info, err := s.reg.Versions(r.PathValue("name"))
 	if err != nil {
 		s.writeError(w, err)
@@ -580,7 +577,6 @@ type rollbackRequest struct {
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	s.reqRollback.Add(1)
 	var req rollbackRequest
 	if r.ContentLength != 0 {
 		// Strict, like create: a typo such as "verison" must not silently
@@ -606,7 +602,6 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 // handleAccuracy reports the estimator's realized accuracy window, drift
 // state, promotion policy, and serving version.
 func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	s.reqAccuracy.Add(1)
 	info, err := s.reg.Accuracy(r.PathValue("name"))
 	if err != nil {
 		s.writeError(w, err)
@@ -616,7 +611,6 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	s.reqSnapshot.Add(1)
 	if err := s.reg.SaveSnapshot(); err != nil {
 		s.writeError(w, err)
 		return

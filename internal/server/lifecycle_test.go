@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -545,5 +546,60 @@ func TestLifecyclePersistence(t *testing.T) {
 	mustStatus(t, http.StatusOK, status, body)
 	if got := estimate(t, ts2.URL, "persist", probe); got == wantNow {
 		t.Fatal("rollback after restart did not change the serving model")
+	}
+}
+
+// TestLifecycleConfigLegacyEntry restores a lifecycle entry whose config
+// carries drift_delta and shadow_fraction, as older builds wrote it: the
+// estimator comes back with the same policy, window, drift threshold, and
+// version history.
+func TestLifecycleConfigLegacyEntry(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "state.json")
+	reg, err := NewRegistry(Config{SnapshotPath: snap, TrainInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Create("legacy", walSchema(t),
+		quicksel.WithRetrainPolicy(quicksel.PolicyShadow), quicksel.WithAccuracyWindow(64),
+		quicksel.WithDriftThreshold(0.3), quicksel.WithVersionHistory(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var file struct {
+		Version    int                                   `json:"version"`
+		Estimators json.RawMessage                       `json:"estimators"`
+		Lifecycles map[string]map[string]json.RawMessage `json:"lifecycles"`
+	}
+	raw, err := os.ReadFile(snap)
+	if err == nil {
+		err = json.Unmarshal(raw, &file)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.Lifecycles["legacy"]["config"] = json.RawMessage(
+		`{"policy":"shadow","window":64,"drift_threshold":0.3,"drift_delta":0.005,"history":3,"shadow_fraction":0.25}`)
+	if raw, err = json.Marshal(&file); err == nil {
+		err = os.WriteFile(snap, raw, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg2, err := NewRegistry(Config{SnapshotPath: snap, TrainInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	st, err := reg2.state("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.life; got.Policy != lifecycle.PolicyShadow || got.Window != 64 ||
+		got.DriftThreshold != 0.3 || got.History != 3 {
+		t.Fatalf("restored lifecycle config = %+v, want shadow/64/0.3/3", got)
 	}
 }

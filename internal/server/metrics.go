@@ -25,7 +25,6 @@ func clampSub(a, b uint64) uint64 {
 // snapshot GET /v1/telemetry serves as JSON, plus the process-level build
 // and runtime gauges that are meaningless to federate.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.reqMetrics.Add(1)
 	var b strings.Builder
 	t := s.collect()
 	t.WritePrometheus(&b)

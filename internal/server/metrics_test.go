@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,6 +67,53 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	// Finite-bound bucket lines must precede the terminal +Inf.
 	if !strings.Contains(text, `quickseld_estimate_duration_seconds_bucket{estimator="people",method="quicksel",le="1.28e-07"}`) {
 		t.Errorf("estimate histogram missing its first finite bucket")
+	}
+}
+
+// TestRequestCountersPerRoute sends one request to every counted route —
+// the /metrics scrape itself is the metrics route's one — and requires each
+// quickseld_requests_<route>_total to read 1 in a valid exposition. A
+// request counts whatever its status.
+func TestRequestCountersPerRoute(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{
+		SnapshotPath: filepath.Join(dir, "state.json"),
+		WALDir:       filepath.Join(dir, "wal"),
+	})
+	createPeople(t, ts.URL)
+	for _, req := range []struct{ method, path, body string }{
+		{"GET", "/v1/estimators", ""},
+		{"POST", "/v1/people/observe", `{"where": "age >= 30", "selectivity": 0.5}`},
+		{"GET", "/v1/people/estimate?where=age+%3E%3D+30", ""},
+		{"POST", "/v1/people/estimate/batch", `{"wheres": ["age >= 30"]}`},
+		{"POST", "/v1/people/train", "{}"},
+		{"GET", "/v1/people/versions", ""},
+		{"POST", "/v1/people/rollback", "{}"},
+		{"GET", "/v1/people/accuracy", ""},
+		{"POST", "/v1/snapshot", ""},
+		{"GET", "/v1/telemetry", ""},
+		{"GET", "/v1/replication/wal?from=1", ""},
+		{"GET", "/v1/replication/snapshot", ""},
+		{"POST", "/v1/replication/promote", ""},
+		{"GET", "/v1/replication/status", ""},
+		{"DELETE", "/v1/estimators/people", ""},
+	} {
+		doJSON(t, req.method, ts.URL+req.path, req.body)
+	}
+
+	text := scrapeMetrics(t, ts.URL)
+	if err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, text)
+	}
+	for _, route := range []string{
+		"create", "observe", "estimate", "estimate_batch", "train", "list",
+		"drop", "snapshot", "versions", "rollback", "accuracy", "metrics",
+		"telemetry", "replication_wal", "replication_snapshot",
+		"replication_promote", "replication_status",
+	} {
+		if want := "\nquickseld_requests_" + route + "_total 1\n"; !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
 	}
 }
 

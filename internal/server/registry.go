@@ -37,6 +37,7 @@ import (
 	"quicksel"
 	"quicksel/internal/lifecycle"
 	"quicksel/internal/obs"
+	"quicksel/internal/replica"
 	"quicksel/internal/wal"
 )
 
@@ -82,10 +83,10 @@ type Config struct {
 	Lifecycle lifecycle.Config
 
 	// WALDir enables the write-ahead observation log in this directory:
-	// every acknowledged observation (plus creates, drops, and lifecycle
-	// events) is appended before it is acknowledged, and NewRegistry
-	// replays the log suffix the snapshot does not cover. Empty disables
-	// the log (the pre-WAL behaviour: only snapshots survive a crash).
+	// every acknowledged observation (plus creates and drops) is appended
+	// before it is acknowledged, and NewRegistry replays the log suffix the
+	// snapshot does not cover. Empty disables the log (the pre-WAL
+	// behaviour: only snapshots survive a crash).
 	WALDir string
 	// WALSync is the log's fsync policy: "always", "interval" (default), or
 	// "never"; see the wal package for the durability trade-offs.
@@ -93,9 +94,6 @@ type Config struct {
 	// WALSegmentSize is the log's segment rotation threshold in bytes
 	// (0 = the wal package default, 64 MiB).
 	WALSegmentSize int64
-	// WALSyncInterval is the background fsync cadence under the "interval"
-	// policy (0 = the wal package default, 100ms).
-	WALSyncInterval time.Duration
 
 	// Role selects the replication role: RolePrimary (default) serves writes
 	// and ships its WAL; RoleFollower applies a primary's WAL (via
@@ -312,7 +310,7 @@ type Registry struct {
 	replApplied atomic.Uint64
 	ackWaits    atomic.Uint64
 	ackTimeouts atomic.Uint64
-	replStatus  atomic.Pointer[func() ReplicationStatus]
+	replStatus  atomic.Pointer[func() replica.Stats]
 
 	// Registry-wide counters (atomics; hot paths don't take mu).
 	snapshotsSaved   atomic.Uint64
@@ -375,11 +373,10 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	reg.snapReady.Store(true)
 	if reg.cfg.WALDir != "" {
 		wlog, err := wal.Open(reg.cfg.WALDir, wal.Options{
-			SegmentSize:  reg.cfg.WALSegmentSize,
-			Sync:         wal.Policy(reg.cfg.WALSync),
-			SyncInterval: reg.cfg.WALSyncInterval,
-			AppendHist:   &reg.walAppendHist,
-			FsyncHist:    &reg.walFsyncHist,
+			SegmentSize: reg.cfg.WALSegmentSize,
+			Sync:        wal.Policy(reg.cfg.WALSync),
+			AppendHist:  &reg.walAppendHist,
+			FsyncHist:   &reg.walFsyncHist,
 			// An empty log directory under a snapshot covering seq C starts
 			// numbering at C+1, so sequence numbers stay aligned with the
 			// snapshot's covered watermark. This is what lets a follower
@@ -784,9 +781,8 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 	if drifted {
 		// A drift alarm means the serving model is measurably stale: wake
 		// the trainer for an immediate pass instead of waiting out the
-		// debounce interval. The alarm is also logged for the audit trail.
+		// debounce interval.
 		r.log.Debug("drift alarm; waking trainer", slog.String("estimator", name))
-		r.appendWALEvent(walRecDrift, walNamed{Name: name})
 		select {
 		case r.driftWake <- struct{}{}:
 		default:
@@ -985,7 +981,7 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 	// locking the estimator out of ever learning (cold-start lockout).
 	// The gate exists to protect a learned champion, not an empty one.
 	if st.life.Policy == lifecycle.PolicyShadow && base.NumObserved() > 0 {
-		holdN = lifecycle.HoldoutSize(len(batch), st.life.ShadowFraction)
+		holdN = lifecycle.HoldoutSize(len(batch))
 	}
 	head, tail := batch[:len(batch)-holdN], batch[len(batch)-holdN:]
 
@@ -1099,10 +1095,8 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 	} else {
 		st.trainHist.Observe(dur)
 	}
-	typ := walRecPromotion
 	verdict := "promoted"
 	if !promote {
-		typ = walRecRejection
 		verdict = "rejected"
 	}
 	sp.SetDetail(fmt.Sprintf("%s version %d (batch %d)", verdict, v.ID, len(batch)))
@@ -1121,7 +1115,6 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 	} else {
 		ev.Debug("challenger rejected")
 	}
-	r.appendWALEvent(typ, walVersionEvent{Name: st.name, Version: v.ID})
 	return nil
 }
 
@@ -1200,7 +1193,6 @@ func (r *Registry) Rollback(name string, versionID int) (lifecycle.Version, erro
 	st.tracker.ResetDrift()
 	st.mu.Unlock()
 	r.log.Info("rollback served", slog.String("estimator", name), slog.Int("version", v.ID))
-	r.appendWALEvent(walRecRollback, walVersionEvent{Name: name, Version: v.ID})
 	return v.Meta(), nil
 }
 
@@ -1436,7 +1428,7 @@ const snapshotFileVersion = 4
 
 // SaveSnapshot flushes every estimator's pending observations, trains, and
 // atomically writes the full registry state to the configured snapshot
-// path (write to a temp file in the same directory, then rename).
+// path (WriteFileDurable), then compacts the log up to what it covers.
 func (r *Registry) SaveSnapshot() error {
 	if r.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no snapshot path configured")
@@ -1521,23 +1513,7 @@ func (r *Registry) SaveSnapshot() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(r.cfg.SnapshotPath)
-	tmp, err := os.CreateTemp(dir, ".quickseld-snapshot-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, r.cfg.SnapshotPath); err != nil {
-		os.Remove(tmpName)
+	if err := WriteFileDurable(r.cfg.SnapshotPath, data); err != nil {
 		return err
 	}
 	r.snapshotsSaved.Add(1)
@@ -1565,6 +1541,44 @@ func (r *Registry) SaveSnapshot() error {
 		_, _ = r.wal.Compact(upTo)
 	}
 	return nil
+}
+
+// WriteFileDurable replaces path with data so that a crash, even a power
+// loss, leaves either the old file or the complete new one: it writes a
+// temporary file beside path, fsyncs and closes it, renames it over path,
+// and fsyncs the directory so the rename is durable too. A failed write
+// leaves the old file untouched and removes the temporary file. Snapshots
+// go through it because compaction deletes the log records a snapshot
+// covers as soon as the snapshot is saved.
+func WriteFileDurable(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // loadSnapshotFile restores all estimators from a snapshot file; a missing

@@ -133,8 +133,8 @@ func (r *Registry) IsPrimary() bool { return r.primary.Load() }
 // configured -primary-url, so the 503 hint a follower hands write clients
 // stays correct after a failover re-points the fetch loop.
 func (r *Registry) PrimaryURL() string {
-	if st := r.replicationStatus(); st != nil && st.AdvertisedPrimary != "" {
-		return st.AdvertisedPrimary
+	if st := r.replicationStatus(); st != nil && st.PrimaryURL != "" {
+		return st.PrimaryURL
 	}
 	return r.cfg.PrimaryURL
 }
@@ -183,7 +183,6 @@ func (r *Registry) Promote() (promoted bool, err error) {
 	r.log.Info("promoted to primary",
 		slog.Uint64("applied", r.replApplied.Load()),
 		slog.Uint64("last_seq", r.ReplicationResume()-1))
-	r.appendWALEvent(walRecRole, walRoleEvent{Role: RolePrimary})
 	r.kick()
 	return true, nil
 }
@@ -396,32 +395,14 @@ func sortFollowers(fs []FollowerInfo) {
 	}
 }
 
-// ReplicationStatus is a follower's catch-up state, pushed by the daemon's
-// fetch loop via SetReplicationStatus and surfaced on /readyz, /metrics,
-// and GET /v1/replication/status.
-type ReplicationStatus struct {
-	Lag           uint64 `json:"lag"`
-	CaughtUp      bool   `json:"caught_up"`
-	Healthy       bool   `json:"healthy"`
-	Fetches       uint64 `json:"fetches"`
-	FetchErrors   uint64 `json:"fetch_errors"`
-	TornResponses uint64 `json:"torn_responses"`
-	GapResponses  uint64 `json:"gap_responses"`
-	Records       uint64 `json:"records"`
-	Bytes         uint64 `json:"bytes"`
-	// AdvertisedPrimary is the reachable base URL the primary stamped on
-	// its replication responses (its -advertise-url); empty when the
-	// primary does not advertise one.
-	AdvertisedPrimary string `json:"advertised_primary,omitempty"`
-}
-
-// SetReplicationStatus installs the follower's live status source (the
-// fetch loop's stats snapshot).
-func (r *Registry) SetReplicationStatus(fn func() ReplicationStatus) {
+// SetReplicationStatus installs the follower's live status source, the
+// fetch loop's Stats, surfaced on /readyz, /metrics, and
+// GET /v1/replication/status.
+func (r *Registry) SetReplicationStatus(fn func() replica.Stats) {
 	r.replStatus.Store(&fn)
 }
 
-func (r *Registry) replicationStatus() *ReplicationStatus {
+func (r *Registry) replicationStatus() *replica.Stats {
 	p := r.replStatus.Load()
 	if p == nil {
 		return nil
@@ -438,7 +419,6 @@ func (r *Registry) replicationStatus() *ReplicationStatus {
 // follower's ack (see UpdateFollowerAck). 410 Gone directs a follower
 // whose suffix is compacted away to the snapshot endpoint.
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
-	s.reqReplWAL.Add(1)
 	if !s.reg.IsPrimary() {
 		s.reqErrors.Add(1)
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "replication source must be the primary"})
@@ -531,7 +511,6 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 // X-Quickseld-Wal-Covered. 204 when the primary runs without a snapshot
 // path (the follower then starts empty and tails from sequence 1).
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplSnapshot.Add(1)
 	if !s.reg.IsPrimary() {
 		s.reqErrors.Add(1)
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "replication source must be the primary"})
@@ -568,7 +547,6 @@ func (s *Server) SetPromoteHook(fn func() (bool, error)) {
 // handlePromote serves POST /v1/replication/promote: health-check- or
 // operator-driven failover.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplPromote.Add(1)
 	promote := s.reg.Promote
 	if p := s.promoteHook.Load(); p != nil {
 		promote = *p
@@ -593,7 +571,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 // handleReplicationStatus serves GET /v1/replication/status: the node's
 // role plus the primary's follower table or the follower's catch-up state.
 func (s *Server) handleReplicationStatus(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplStatus.Add(1)
 	resp := map[string]any{
 		"role":     s.reg.Role(),
 		"ack_mode": s.reg.cfg.ReplicationAck,

@@ -33,23 +33,9 @@ func (s *Server) collect() obs.Telemetry {
 		})
 	}
 
-	counter("quickseld_requests_create_total", "POST /v1/estimators requests served.", s.reqCreate.Load())
-	counter("quickseld_requests_observe_total", "Observe requests served.", s.reqObserve.Load())
-	counter("quickseld_requests_estimate_total", "Estimate requests served.", s.reqEstimate.Load())
-	counter("quickseld_requests_estimate_batch_total", "Batch estimate requests served.", s.reqEstimateBatch.Load())
-	counter("quickseld_requests_train_total", "Explicit train requests served.", s.reqTrain.Load())
-	counter("quickseld_requests_list_total", "List requests served.", s.reqList.Load())
-	counter("quickseld_requests_drop_total", "Drop requests served.", s.reqDrop.Load())
-	counter("quickseld_requests_snapshot_total", "Explicit snapshot requests served.", s.reqSnapshot.Load())
-	counter("quickseld_requests_versions_total", "Version-listing requests served.", s.reqVersions.Load())
-	counter("quickseld_requests_rollback_total", "Rollback requests served.", s.reqRollback.Load())
-	counter("quickseld_requests_accuracy_total", "Accuracy requests served.", s.reqAccuracy.Load())
-	counter("quickseld_requests_metrics_total", "Metrics scrapes served.", s.reqMetrics.Load())
-	counter("quickseld_requests_telemetry_total", "Telemetry snapshot fetches served.", s.reqTelemetry.Load())
-	counter("quickseld_requests_replication_wal_total", "WAL fetches served to followers.", s.reqReplWAL.Load())
-	counter("quickseld_requests_replication_snapshot_total", "Snapshot bootstraps served to followers.", s.reqReplSnapshot.Load())
-	counter("quickseld_requests_replication_promote_total", "Promotion requests served.", s.reqReplPromote.Load())
-	counter("quickseld_requests_replication_status_total", "Replication status requests served.", s.reqReplStatus.Load())
+	for i, rt := range s.routes {
+		counter(rt.counter, rt.help, s.served[i].Load())
+	}
 	counter("quickseld_requests_role_rejected_total", "Write requests refused because this node is a read-only follower.", s.reqRoleRejected.Load())
 	counter("quickseld_request_errors_total", "Requests answered with a non-2xx status.", s.reqErrors.Load())
 	counter("quickseld_snapshots_saved_total", "Registry snapshots persisted.", s.reg.snapshotsSaved.Load())
@@ -282,7 +268,6 @@ func (s *Server) collect() obs.Telemetry {
 // router's federation poll: the same families as /metrics, histograms as raw
 // mergeable bucket counts instead of rendered text.
 func (s *Server) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
-	s.reqTelemetry.Add(1)
 	t := s.collect()
 	s.writeJSON(w, http.StatusOK, t)
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // Write-ahead log integration. When Config.WALDir is set, the registry
-// appends every acknowledged observation — plus estimator creates, drops,
-// and lifecycle events — to an internal/wal Log before acknowledging it, so
-// a crash loses nothing that a client was told succeeded. Recovery layers
+// appends every acknowledged observation — plus estimator creates and
+// drops — to an internal/wal Log before acknowledging it, so a crash loses
+// nothing that a client was told succeeded. Recovery layers
 // the log over the snapshot: NewRegistry restores the snapshot file, then
 // replays the log suffix the snapshot does not cover, leaving the registry
 // in the state an uncrashed run would hold (bit-identically where the
@@ -43,17 +43,13 @@ import (
 // Observations that a full buffer *dropped* are never appended (the drop
 // was reported to the client), so replay cannot resurrect them.
 
-// WAL record types. Only observe, create, and drop records carry state;
-// the lifecycle events are an audit trail and replay ignores them.
+// WAL record types. Logs written by older builds also hold lifecycle
+// audit records (types 4-8: promotion, rejection, rollback, drift alarm,
+// role change); they carry no state and replay skips them.
 const (
-	walRecObserve   byte = 1
-	walRecCreate    byte = 2
-	walRecDrop      byte = 3
-	walRecPromotion byte = 4
-	walRecRejection byte = 5
-	walRecRollback  byte = 6
-	walRecDrift     byte = 7
-	walRecRole      byte = 8
+	walRecObserve byte = 1
+	walRecCreate  byte = 2
+	walRecDrop    byte = 3
 )
 
 // Observation records use a hand-rolled binary payload — this is the
@@ -63,7 +59,7 @@ const (
 //	uvarint len(name), name bytes
 //	predicate.AppendObservation: 8-byte LE selectivity bits, binary predicate
 //
-// The rare record types (create, drop, events) stay JSON for debuggability.
+// The rare record types (create, drop) stay JSON for debuggability.
 
 // observeScratch is the reusable encoding state of one observe batch: the
 // payload arena and the wal.Record headers pointing into it. Pooled —
@@ -111,34 +107,9 @@ type walCreate struct {
 	Snapshot json.RawMessage `json:"snapshot"`
 }
 
-// walNamed is the drop and drift-alarm payload.
+// walNamed is the drop payload.
 type walNamed struct {
 	Name string `json:"e"`
-}
-
-// walVersionEvent is the promotion / rejection / rollback audit payload.
-type walVersionEvent struct {
-	Name    string `json:"e"`
-	Version int    `json:"version,omitempty"`
-}
-
-// walRoleEvent is the role-change (follower promotion) audit payload.
-type walRoleEvent struct {
-	Role string `json:"role"`
-}
-
-// appendWALEvent stages an audit event without blocking on durability;
-// events are informational, replay ignores them, and losing a tail of them
-// in a crash costs nothing but audit detail.
-func (r *Registry) appendWALEvent(typ byte, v any) {
-	if r.wal == nil {
-		return
-	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	r.wal.Enqueue([]wal.Record{{Type: typ, Payload: payload}})
 }
 
 // applyRecord applies one log record to the live registry: creates and
@@ -208,7 +179,7 @@ func (r *Registry) applyRecord(rec wal.Record) (applied bool) {
 		r.mu.Unlock()
 		return true
 	default:
-		// Lifecycle and role audit events; the state they describe lives in
+		// Audit records from older logs; the state they describe lives in
 		// the snapshot.
 		return false
 	}

@@ -554,3 +554,121 @@ func observationPayloadsHex(t *testing.T, dir string) []string {
 	}
 	return out
 }
+
+// TestWALLegacyAuditRecords: logs written by older builds interleave
+// lifecycle audit records (types 4-8) with the state records. Startup
+// replay and follower replication skip them without counting them as
+// unreadable, and reach the same estimates as the log without them.
+func TestWALLegacyAuditRecords(t *testing.T) {
+	src := newPrimary(t, nil)
+	if err := src.Create("people", walSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := src.ObserveBatch("people", walObservations(40, 11)); err != nil || n != 40 {
+		t.Fatalf("accepted %d, err %v", n, err)
+	}
+	state := shipAll(t, src, 1)
+	// Payloads as older builds wrote them: promotion, rejection, rollback,
+	// drift alarm, role change; one after every 8th state record.
+	audit := []string{`{"e":"people","version":2}`, `{"e":"people","version":3}`,
+		`{"e":"people","version":2}`, `{"e":"people"}`, `{"role":"primary"}`}
+	var mixed []wal.Record
+	for i, rec := range state {
+		mixed = append(mixed, wal.Record{Type: rec.Type, Payload: rec.Payload})
+		if k := i/8 - 1; i%8 == 0 && k >= 0 {
+			mixed = append(mixed, wal.Record{Type: byte(4 + k), Payload: []byte(audit[k])})
+		}
+	}
+
+	// estimates boots a registry from recs written as a fresh log, trains,
+	// and probes it; a non-nil follower takes recs through Replicate instead.
+	estimates := func(recs []wal.Record, follower *Registry) []float64 {
+		t.Helper()
+		reg := follower
+		if reg == nil {
+			dir := t.TempDir()
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(recs...); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if reg, err = NewRegistry(Config{WALDir: dir, TrainInterval: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			defer reg.closeAbrupt()
+		} else {
+			for i := range recs {
+				recs[i].Seq = uint64(i + 1)
+			}
+			if err := reg.Replicate(recs); err != nil {
+				t.Fatalf("Replicate: %v", err)
+			}
+			if _, err := reg.Promote(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := reg.walReplaySkipped.Load(); n != 0 {
+			t.Fatalf("%d records counted as skipped, want 0", n)
+		}
+		if err := reg.Train("people"); err != nil {
+			t.Fatal(err)
+		}
+		var out []float64
+		for _, probe := range walProbes() {
+			v, err := reg.Estimate("people", probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+
+	want := fmt.Sprint(estimates(state, nil))
+	if got := fmt.Sprint(estimates(mixed, nil)); got != want {
+		t.Fatalf("replayed with audit records: %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(estimates(mixed, newFollowerReg(t, nil))); got != want {
+		t.Fatalf("replicated with audit records: %s, want %s", got, want)
+	}
+}
+
+// TestWriteFileDurable: a replace leaves exactly the new bytes and no
+// temporary file; a replace that fails leaves the old file untouched and
+// no temporary file either.
+func TestWriteFileDurable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileDurable(path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	// Two failures: the directory is missing, and the rename target is a
+	// non-empty directory.
+	if err := WriteFileDurable(filepath.Join(dir, "missing", "state.json"), nil); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "busy", "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileDurable(filepath.Join(dir, "busy"), nil); err == nil {
+		t.Fatal("replacing a non-empty directory succeeded")
+	}
+
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("file holds %q (err %v), want \"new\"", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "busy", "keep")); err != nil {
+		t.Fatalf("failed replace disturbed its target: %v", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("directory holds %v (err %v), want only busy and state.json", entries, err)
+	}
+}

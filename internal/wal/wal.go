@@ -1,8 +1,8 @@
 // Package wal implements the append-only, CRC32C-framed, segment-rotated
 // write-ahead log behind quicksel's durability story. The quickseld serving
-// registry logs every acknowledged observation (plus estimator creates,
-// drops, and lifecycle events) through one Log; the public quicksel API
-// offers the same machinery to library embedders via WithWAL.
+// registry logs every acknowledged observation (plus estimator creates
+// and drops) through one Log; the public quicksel API offers the same
+// machinery to library embedders via WithWAL.
 //
 // # Format
 //
@@ -558,7 +558,7 @@ func (l *Log) Append(recs ...Record) (uint64, error) {
 }
 
 // run is the background side of the group commit: on a fixed cadence it
-// drains batches whose appenders did not wait (audit events) and — under
+// drains batches whose appenders did not wait and — under
 // SyncInterval — fires the periodic fsync; on shutdown it performs the
 // final flush. Waiting appenders never depend on it: they drive their own
 // flush, so no signal (and no cross-goroutine wakeup) sits on the append
