@@ -509,7 +509,8 @@ func (m *Model) ensureTrained() error {
 
 // Estimate returns the model's selectivity estimate for a normalized box,
 // clamped to [0,1]. With no trained subpopulations the model is the uniform
-// prior, whose estimate is the box volume (|B|/|B0| with |B0| = 1).
+// prior, whose estimate is the box volume (|B|/|B0| with |B0| = 1). A box
+// with a NaN corner is an error, as it is for Observe.
 //
 // The hot path is allocation-free: the query box is clipped into the
 // model's reusable scratch corners and evaluated against the compiled
@@ -517,6 +518,9 @@ func (m *Model) ensureTrained() error {
 func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if box.Dim() != m.cfg.Dim {
 		return 0, fmt.Errorf("core: query box has dim %d, model has %d", box.Dim(), m.cfg.Dim)
+	}
+	if err := box.CheckNaN(); err != nil {
+		return 0, fmt.Errorf("core: query box: %w", err)
 	}
 	if err := m.ensureTrained(); err != nil {
 		return 0, err

@@ -61,6 +61,32 @@ func TestObserveValidation(t *testing.T) {
 	}
 }
 
+// Estimate rejects a NaN corner before training or scanning, on the
+// uniform prior and on a trained model alike.
+func TestEstimateRejectsNaNCorner(t *testing.T) {
+	fresh := mustModel(t, Config{Dim: 2, Seed: 1})
+	trained := mustModel(t, Config{Dim: 2, Seed: 1})
+	if err := trained.Observe(geom.NewBox([]float64{0, 0}, []float64{0.5, 0.5}), 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if err := trained.Train(); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"fresh": fresh, "trained": trained} {
+		for _, b := range []geom.Box{
+			geom.NewBox([]float64{math.NaN(), 0}, []float64{0.5, 0.5}),
+			geom.NewBox([]float64{0, 0}, []float64{0.5, math.NaN()}),
+		} {
+			if got, err := m.Estimate(b); err == nil {
+				t.Errorf("%s: Estimate(%v) = %v, want an error", name, b, got)
+			}
+		}
+	}
+	if fresh.trained {
+		t.Error("a rejected Estimate trained the model")
+	}
+}
+
 func TestModelReproducesObservedQueries(t *testing.T) {
 	m := mustModel(t, Config{Dim: 2, Seed: 7})
 	obs := []struct {

@@ -53,12 +53,24 @@ func (b Box) Validate() error {
 	if len(b.Lo) != len(b.Hi) {
 		return fmt.Errorf("geom: corner dimension mismatch: %d vs %d", len(b.Lo), len(b.Hi))
 	}
+	if err := b.CheckNaN(); err != nil {
+		return err
+	}
+	for i := range b.Lo {
+		if b.Lo[i] > b.Hi[i] {
+			return fmt.Errorf("geom: inverted interval in dimension %d: [%g, %g)", i, b.Lo[i], b.Hi[i])
+		}
+	}
+	return nil
+}
+
+// CheckNaN reports an error naming the first dimension with a NaN corner.
+// Comparisons read a NaN corner as an open bound while min, max and
+// arithmetic carry it into a volume, so no kernel gives it a meaning.
+func (b Box) CheckNaN() error {
 	for i := range b.Lo {
 		if math.IsNaN(b.Lo[i]) || math.IsNaN(b.Hi[i]) {
 			return fmt.Errorf("geom: NaN coordinate in dimension %d", i)
-		}
-		if b.Lo[i] > b.Hi[i] {
-			return fmt.Errorf("geom: inverted interval in dimension %d: [%g, %g)", i, b.Lo[i], b.Hi[i])
 		}
 	}
 	return nil

@@ -10,7 +10,11 @@ package geom
 //
 // Every numeric method mirrors the corresponding Box method exactly — same
 // ascending-dimension order, same early-outs — so converting a []Box to a
-// BoxSet never changes a computed volume bit.
+// BoxSet never changes a computed volume bit. The mirror holds for ±0 and
+// NaN corners too: the builtin min and max agree with Box's math.Min and
+// math.Max on signed zeros and return NaN for a NaN against any finite
+// corner, so a NaN corner yields NaN from a BoxSet kernel exactly when it
+// does from Box.IntersectionVolume.
 
 import "fmt"
 
@@ -90,44 +94,29 @@ func (s *BoxSet) Volume(i int) float64 {
 }
 
 // IntersectionVolume returns |box i ∩ box j| allocation-free, bit-identical
-// to Box.IntersectionVolume on the same corners.
+// to Box.IntersectionVolume on the same corners. It is the serving kernel
+// with box i's corners as the query.
 func (s *BoxSet) IntersectionVolume(i, j int) float64 {
-	bi, bj := i*s.dim, j*s.dim
-	v := 1.0
-	for d := 0; d < s.dim; d++ {
-		hi := s.Hi[bi+d]
-		if h := s.Hi[bj+d]; h < hi {
-			hi = h
-		}
-		lo := s.Lo[bi+d]
-		if l := s.Lo[bj+d]; l > lo {
-			lo = l
-		}
-		side := hi - lo
-		if side <= 0 {
-			return 0
-		}
-		v *= side
-	}
-	return v
+	d := s.dim
+	return s.CornersIntersectionVolume(j, s.Lo[i*d:][:d], s.Hi[i*d:][:d])
 }
 
 // CornersIntersectionVolume returns the intersection volume of box i with
 // the box given by raw corner slices (len dim each). This is the serving
 // kernel: the query box arrives as two scratch slices, never as a Box.
+//
+// The builtin min and max compile to branch-free instructions, where a
+// compare and branch per bound would mispredict on serving traffic that
+// overlaps most kernels. Box i's corners are sliced to exactly dim elements
+// once so the loop needs no per-element bounds checks on them, and the body
+// must stay under the inliner's budget: compiledModel.estimate relies on
+// getting the loop inlined (go build -gcflags=-m ./internal/core shows it).
 func (s *BoxSet) CornersIntersectionVolume(i int, qlo, qhi []float64) float64 {
-	base := i * s.dim
+	d := s.dim
+	lo, hi := s.Lo[i*d:][:d], s.Hi[i*d:][:d]
 	v := 1.0
-	for d := 0; d < s.dim; d++ {
-		hi := s.Hi[base+d]
-		if qhi[d] < hi {
-			hi = qhi[d]
-		}
-		lo := s.Lo[base+d]
-		if qlo[d] > lo {
-			lo = qlo[d]
-		}
-		side := hi - lo
+	for k, l := range lo {
+		side := min(hi[k], qhi[k]) - max(l, qlo[k])
 		if side <= 0 {
 			return 0
 		}

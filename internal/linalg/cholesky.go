@@ -37,12 +37,23 @@ func NewCholesky(m *Matrix) (*Cholesky, error) { return NewCholeskyWorkers(m, 0)
 // for every worker count and block size (intermediate stores do not change
 // IEEE-754 results; each operation rounds to float64 either way).
 func NewCholeskyWorkers(m *Matrix, workers int) (*Cholesky, error) {
+	return newCholeskyRidge(m, 0, workers)
+}
+
+// newCholeskyRidge factors m + ridge·I. The ridge is added to the factor's
+// own copy of m, so neither m nor a second n×n matrix is touched.
+func newCholeskyRidge(m *Matrix, ridge float64, workers int) (*Cholesky, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky of non-square %d×%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
 	l := make([]float64, n*n)
 	copy(l, m.Data)
+	if ridge != 0 {
+		for i := 0; i < n; i++ {
+			l[i*n+i] += ridge
+		}
+	}
 	workers = par.Workers(workers)
 	// Row-chunk grain for the panel solve and trailing update: fine enough
 	// to balance the triangular row costs, coarse enough that chunk claiming
@@ -207,17 +218,11 @@ func FactorSPD(m *Matrix, workers int) (c *Cholesky, ridge float64, err error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	work := m.Clone()
-	ridge = 0
 	for attempt := 0; attempt < 12; attempt++ {
 		if attempt > 0 {
-			add := scale * math.Pow(10, float64(attempt-10)) // 1e-10·scale upward
-			for i := 0; i < n; i++ {
-				work.Data[i*n+i] = m.At(i, i) + add
-			}
-			ridge = add
+			ridge = scale * math.Pow(10, float64(attempt-10)) // 1e-10·scale upward
 		}
-		ch, cerr := NewCholeskyWorkers(work, workers)
+		ch, cerr := newCholeskyRidge(m, ridge, workers)
 		if cerr == nil {
 			return ch, ridge, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -250,5 +251,36 @@ func TestFactorSPDAppliesRidgeToSingular(t *testing.T) {
 	}
 	if ch.N() != 2 {
 		t.Fatalf("n = %d", ch.N())
+	}
+	for i, v := range []float64{1, 1, 1, 1} {
+		if m.Data[i] != v {
+			t.Fatalf("FactorSPD modified its input: %v", m.Data)
+		}
+	}
+	// The factor is exactly that of the hand-built m + ridge·I.
+	want, err := NewCholeskyWorkers(FromRows([][]float64{{1 + ridge, 1}, {1, 1 + ridge}}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.l {
+		if math.Float64bits(ch.l[i]) != math.Float64bits(want.l[i]) {
+			t.Fatalf("factor[%d] = %v, want %v (m + ridge·I)", i, ch.l[i], want.l[i])
+		}
+	}
+}
+
+// FactorSPD allocates one n×n matrix, the factor: the ridge goes onto the
+// factor's own copy of the input rather than onto a second copy.
+func TestFactorSPDAllocatesOneMatrix(t *testing.T) {
+	const n = 256
+	m := randomSPD(rand.New(rand.NewSource(14)), n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := FactorSPD(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*n*8*11/10); got > limit {
+		t.Fatalf("FactorSPD of a %d×%d matrix allocated %d bytes, want at most %d", n, n, got, limit)
 	}
 }

@@ -124,7 +124,7 @@ func (p *Predicate) String() string {
 // Boxes lowers the predicate into a set of pairwise-disjoint boxes in the
 // normalized unit cube [0,1)^dim(schema). The union of the returned boxes is
 // exactly the region the predicate selects. An error is reported for
-// out-of-range column references.
+// out-of-range column references and NaN bounds.
 func (p *Predicate) Boxes(s *Schema) ([]geom.Box, error) {
 	raw, err := p.lower(s)
 	if err != nil {
@@ -163,6 +163,9 @@ func (p *Predicate) lower(s *Schema) ([]geom.Box, error) {
 		c := p.leaf
 		if c.Col < 0 || c.Col >= s.Dim() {
 			return nil, fmt.Errorf("predicate: column %d out of range [0,%d)", c.Col, s.Dim())
+		}
+		if math.IsNaN(c.Lo) || math.IsNaN(c.Hi) {
+			return nil, fmt.Errorf("predicate: NaN bound on column %d", c.Col)
 		}
 		lo, hi := c.Lo, c.Hi
 		dLo, dHi := s.Cols[c.Col].domain()

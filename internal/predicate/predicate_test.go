@@ -31,6 +31,7 @@ func TestNewSchemaErrors(t *testing.T) {
 		{"inverted", []Column{{Name: "a", Min: 2, Max: 1}}},
 		{"nan", []Column{{Name: "a", Min: math.NaN(), Max: 1}}},
 		{"inf", []Column{{Name: "a", Min: 0, Max: math.Inf(1)}}},
+		{"overflowing width", []Column{{Name: "a", Min: -1e308, Max: 1e308}}},
 		{"fractional int", []Column{{Name: "a", Kind: Integer, Min: 0, Max: 2.5}}},
 		{"zero-width real", []Column{{Name: "a", Kind: Real, Min: 1, Max: 1}}},
 	}

@@ -62,28 +62,42 @@ type Schema struct {
 	Cols []Column `json:"columns"`
 }
 
-// NewSchema validates and returns a schema. It rejects empty schemas,
-// inverted ranges, and non-integral bounds for discrete columns.
+// NewSchema validates and returns a schema; see Validate.
 func NewSchema(cols ...Column) (*Schema, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("predicate: schema needs at least one column")
+	s := &Schema{Cols: cols}
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	for i, c := range cols {
+	return s, nil
+}
+
+// Validate rejects empty schemas, inverted or non-finite ranges, ranges
+// wider than a float64 holds, non-integral bounds for discrete columns, and
+// zero-width real columns. A valid schema normalizes every non-NaN value to
+// a number in [0, 1], never NaN. A Schema decoded from JSON has not been
+// through NewSchema, so it must be validated before use.
+func (s *Schema) Validate() error {
+	if len(s.Cols) == 0 {
+		return fmt.Errorf("predicate: schema needs at least one column")
+	}
+	for _, c := range s.Cols {
 		if c.Min > c.Max {
-			return nil, fmt.Errorf("predicate: column %q has inverted range [%g, %g]", c.Name, c.Min, c.Max)
+			return fmt.Errorf("predicate: column %q has inverted range [%g, %g]", c.Name, c.Min, c.Max)
 		}
 		if math.IsNaN(c.Min) || math.IsNaN(c.Max) || math.IsInf(c.Min, 0) || math.IsInf(c.Max, 0) {
-			return nil, fmt.Errorf("predicate: column %q has non-finite range", c.Name)
+			return fmt.Errorf("predicate: column %q has non-finite range", c.Name)
+		}
+		if lo, hi := c.domain(); math.IsInf(hi-lo, 0) {
+			return fmt.Errorf("predicate: column %q range [%g, %g] is wider than a float64 holds", c.Name, c.Min, c.Max)
 		}
 		if c.Kind != Real && (c.Min != math.Trunc(c.Min) || c.Max != math.Trunc(c.Max)) {
-			return nil, fmt.Errorf("predicate: discrete column %q needs integral bounds, got [%g, %g]", c.Name, c.Min, c.Max)
+			return fmt.Errorf("predicate: discrete column %q needs integral bounds, got [%g, %g]", c.Name, c.Min, c.Max)
 		}
 		if c.Kind == Real && c.Min == c.Max {
-			return nil, fmt.Errorf("predicate: real column %q has zero-width range", c.Name)
+			return fmt.Errorf("predicate: real column %q has zero-width range", c.Name)
 		}
-		_ = i
 	}
-	return &Schema{Cols: cols}, nil
+	return nil
 }
 
 // MustSchema is NewSchema that panics on error; for tests and examples.

@@ -2,6 +2,7 @@ package quicksel_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -59,6 +60,36 @@ func TestAllMethodsServeEstimates(t *testing.T) {
 			for i, sel := range sels {
 				if sel < 0 || sel > 1 {
 					t.Errorf("probe %d (%q): estimate %g outside [0, 1]", i, snapshotProbes[i], sel)
+				}
+			}
+		})
+	}
+}
+
+// A NaN bound is an error for every method, fresh (never trained) or
+// trained, from Observe, Estimate and EstimateBatch alike: compares would
+// read it as an open bound and arithmetic would carry it into a NaN
+// estimate.
+func TestAllMethodsRejectNaNBounds(t *testing.T) {
+	nan := []*quicksel.Predicate{quicksel.Range(0, math.NaN(), 30), quicksel.AtMost(1, math.NaN())}
+	for _, method := range quicksel.Methods() {
+		t.Run(method, func(t *testing.T) {
+			fresh, err := quicksel.New(testSchema(t), quicksel.WithMethod(method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ests := map[string]*quicksel.Estimator{"fresh": fresh, "trained": trainedMethodEstimator(t, method)}
+			for name, est := range ests {
+				for i, p := range nan {
+					if got, err := est.Estimate(p); err == nil {
+						t.Errorf("%s: Estimate of NaN predicate %d = %v, want an error", name, i, got)
+					}
+					if got, err := est.EstimateBatch([]*quicksel.Predicate{quicksel.Range(0, 20, 40), p}); err == nil {
+						t.Errorf("%s: EstimateBatch with NaN predicate %d = %v, want an error", name, i, got)
+					}
+					if err := est.Observe(p, 0.5); err == nil {
+						t.Errorf("%s: Observe of NaN predicate %d succeeded, want an error", name, i)
+					}
 				}
 			}
 		})

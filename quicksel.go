@@ -118,10 +118,15 @@ type Accuracy = lifecycle.Report
 
 // New returns an estimator for the given schema. Options select the
 // estimation method (default: MethodQuickSel) and tune the paper's defaults
-// (subpopulation budget, penalty weight, seed, solver, bucket caps).
+// (subpopulation budget, penalty weight, seed, solver, bucket caps). The
+// schema is validated as NewSchema does, which matters for one decoded from
+// JSON.
 func New(schema *Schema, opts ...Option) (*Estimator, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("quicksel: nil schema")
+	}
+	if err := schema.Validate(); err != nil {
+		return nil, fmt.Errorf("quicksel: %w", err)
 	}
 	cfg := estimator.Config{Dim: schema.Dim()}
 	for _, o := range opts {
@@ -276,6 +281,7 @@ func (e *Estimator) CloneForTraining() (*Estimator, error) {
 }
 
 // Estimate returns the estimated selectivity of the predicate, in [0, 1].
+// A NaN bound in the predicate is an error, as it is for Observe.
 func (e *Estimator) Estimate(p *Predicate) (float64, error) {
 	boxes, err := p.Boxes(e.schema)
 	if err != nil {

@@ -24,6 +24,20 @@ func TestNewRejectsNilSchema(t *testing.T) {
 	}
 }
 
+// A schema decoded from JSON skips NewSchema; New must still reject one
+// whose normalization would produce NaN.
+func TestNewRejectsInvalidSchema(t *testing.T) {
+	for _, col := range []Column{
+		{Name: "x", Kind: Real, Min: 5, Max: 5},
+		{Name: "x", Kind: Real, Min: -1e308, Max: 1e308},
+		{Name: "x", Kind: Real, Min: 1, Max: 0},
+	} {
+		if _, err := New(&Schema{Cols: []Column{col}}); err == nil {
+			t.Errorf("New with column %+v: want an error", col)
+		}
+	}
+}
+
 func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := New(testSchema(t), WithLambda(-3)); err == nil {
 		t.Fatal("expected error for negative lambda")

@@ -9,7 +9,7 @@ import (
 	"quicksel"
 )
 
-func testSchema(t *testing.T) *quicksel.Schema {
+func testSchema(t testing.TB) *quicksel.Schema {
 	t.Helper()
 	schema, err := quicksel.NewSchema(
 		quicksel.Column{Name: "age", Kind: quicksel.Integer, Min: 18, Max: 90},
@@ -22,9 +22,9 @@ func testSchema(t *testing.T) *quicksel.Schema {
 	return schema
 }
 
-func trainedEstimator(t *testing.T) *quicksel.Estimator {
+func trainedEstimator(t testing.TB, opts ...quicksel.Option) *quicksel.Estimator {
 	t.Helper()
-	est, err := quicksel.New(testSchema(t), quicksel.WithSeed(7))
+	est, err := quicksel.New(testSchema(t), append([]quicksel.Option{quicksel.WithSeed(7)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
