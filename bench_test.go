@@ -7,7 +7,7 @@
 //
 // reproduces the whole evaluation. The same drivers are exposed as CLI
 // subcommands by cmd/quickselbench, which also prints the full row/series
-// output. EXPERIMENTS.md records paper-vs-measured for every artifact.
+// output.
 package quicksel_test
 
 import (
@@ -205,7 +205,7 @@ func BenchmarkFigure7Dimension(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLambda sweeps the penalty weight (DESIGN.md A1).
+// BenchmarkAblationLambda sweeps the penalty weight λ of Problem 3 (§4).
 func BenchmarkAblationLambda(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationLambda(12); err != nil {

@@ -10,6 +10,9 @@
 #   3. README.md and ARCHITECTURE.md quote the WAL interval-fsync overhead
 #      recorded in BENCH_quicksel.json (observe.interval_overhead_pct, to
 #      one decimal) and state no other figure for it.
+#   4. Every *.md file that a Go source, a script, README.md,
+#      ARCHITECTURE.md or a file under docs/ names exists — a pointer to a
+#      document nobody wrote is a CI failure.
 #
 # Run from the repository root: ./ci/check_docs.sh
 set -u
@@ -81,8 +84,24 @@ else
     done
 fi
 
+# 4. Named documents exist, as a path from the repository root or from the
+# naming file's directory.
+while IFS= read -r file; do
+    for name in $(grep -ohE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' "$file" | sort -u); do
+        if [ ! -e "$name" ] && [ ! -e "$(dirname "$file")/$name" ]; then
+            echo "$file names $name, which does not exist" >&2
+            fail=1
+        fi
+    done
+done <<EOF
+$(find . -path ./.git -prune -o \( -name '*.go' -o -name '*.sh' \) -print)
+README.md
+ARCHITECTURE.md
+$(find docs -type f)
+EOF
+
 if [ "$fail" -ne 0 ]; then
     echo "ci/check_docs.sh: documentation is stale (see above)" >&2
     exit 1
 fi
-echo "ci/check_docs.sh: ARCHITECTURE.md and docs/API.md cover all packages and routes; the WAL overhead prose matches BENCH_quicksel.json"
+echo "ci/check_docs.sh: ARCHITECTURE.md and docs/API.md cover all packages and routes; the WAL overhead prose matches BENCH_quicksel.json; every named document exists"

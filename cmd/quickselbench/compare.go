@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"quicksel/internal/core"
 	"quicksel/internal/estimator"
 	"quicksel/internal/experiments"
 	"quicksel/internal/workload"
@@ -56,7 +57,7 @@ func runCompare(dataset string, rows, maxN int, seed int64) (string, error) {
 	}
 	var rows2 []row
 	for _, method := range estimator.Methods() {
-		b, err := estimator.New(estimator.Config{Method: method, Dim: ds.Schema.Dim(), Seed: seed})
+		b, err := estimator.New(estimator.Config{Method: method, Config: core.Config{Dim: ds.Schema.Dim(), Seed: seed}})
 		if err != nil {
 			return "", fmt.Errorf("compare: new %s: %w", method, err)
 		}

@@ -70,7 +70,7 @@
 // bit-identical to a recovery of the primary. Writes are refused with 503 +
 // Retry-After and an X-Quickseld-Primary pointer; /readyz gates on the
 // follower being caught up; POST /v1/replication/promote flips it to
-// primary (stops the fetch loop, starts the trainer). On the primary,
+// primary (stops the fetch loop, then lets the worker train). On the primary,
 // -repl-ack=follower makes write acks additionally wait for a follower's
 // fetch watermark (semi-sync), so failover after a primary kill loses no
 // acknowledged observation. See ARCHITECTURE.md "Replication & failover".

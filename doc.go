@@ -12,7 +12,8 @@
 // L2 distance between the model and a uniform distribution subject to
 // consistency with the observed selectivities, which reduces to a quadratic
 // program with a closed-form solution (one symmetric positive-definite
-// solve). See DESIGN.md for the full reproduction inventory.
+// solve). ARCHITECTURE.md maps the packages, including the drivers that
+// reproduce the paper's evaluation.
 //
 // # Quick start
 //

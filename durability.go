@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"quicksel/internal/estimator"
 	"quicksel/internal/predicate"
 	"quicksel/internal/wal"
 )
@@ -30,16 +29,13 @@ import (
 // costs microseconds per record.
 const walRecObservation byte = 1
 
-// attachWAL opens the log configured by cfg, replays records after `from`
-// into the estimator, and leaves the log attached for subsequent Observe
-// calls. fresh marks a New-built (empty) estimator, which must see the
-// log from record 1 — if a checkpoint has compacted the prefix, the caller
-// is holding state that only Restore(snapshot) can supply.
-func (e *Estimator) attachWAL(cfg estimator.WALConfig, from uint64, fresh bool) error {
-	if _, err := wal.ParsePolicy(cfg.Sync); err != nil {
-		return fmt.Errorf("quicksel: %w", err)
-	}
-	l, err := wal.Open(cfg.Dir, wal.Options{Sync: wal.Policy(cfg.Sync), SegmentSize: cfg.SegmentSize})
+// attachWAL opens the log in dir, replays records after `from` into the
+// estimator, and leaves the log attached for subsequent Observe calls.
+// fresh marks a New-built (empty) estimator, which must see the log from
+// record 1 — if a checkpoint has compacted the prefix, the caller is
+// holding state that only Restore(snapshot) can supply.
+func (e *Estimator) attachWAL(dir string, opts wal.Options, from uint64, fresh bool) error {
+	l, err := wal.Open(dir, opts)
 	if err != nil {
 		return fmt.Errorf("quicksel: %w", err)
 	}
@@ -47,16 +43,16 @@ func (e *Estimator) attachWAL(cfg estimator.WALConfig, from uint64, fresh bool) 
 	if fresh {
 		if last > 0 && first != 1 {
 			l.Close()
-			return fmt.Errorf("quicksel: wal in %s was compacted by a checkpoint (oldest retained record %d); restore the checkpoint snapshot with Restore and the same WithWAL option instead of New", cfg.Dir, first)
+			return fmt.Errorf("quicksel: wal in %s was compacted by a checkpoint (oldest retained record %d); restore the checkpoint snapshot with Restore and the same WithWAL option instead of New", dir, first)
 		}
 	} else {
 		if last < from {
 			l.Close()
-			return fmt.Errorf("quicksel: wal in %s ends at record %d but the snapshot was taken at %d; wrong directory?", cfg.Dir, last, from)
+			return fmt.Errorf("quicksel: wal in %s ends at record %d but the snapshot was taken at %d; wrong directory?", dir, last, from)
 		}
 		if first != 0 && first > from+1 {
 			l.Close()
-			return fmt.Errorf("quicksel: wal in %s starts at record %d but the snapshot only covers up to %d; a newer checkpoint compacted the gap — restore that checkpoint instead", cfg.Dir, first, from)
+			return fmt.Errorf("quicksel: wal in %s starts at record %d but the snapshot only covers up to %d; a newer checkpoint compacted the gap — restore that checkpoint instead", dir, first, from)
 		}
 	}
 	err = l.Replay(from+1, func(rec wal.Record) error {

@@ -2,7 +2,7 @@ package core
 
 // Failure-injection tests: degenerate, contradictory, and adversarial
 // inputs must never panic, produce NaN estimates, or leave the model in an
-// unusable state (DESIGN.md §7).
+// unusable state.
 
 import (
 	"math"

@@ -44,26 +44,29 @@ const (
 )
 
 // Config tunes the model. The zero value of every field selects the paper's
-// default.
+// default. Its JSON form is the "config" of a persisted Snapshot, so a
+// field's tag is part of the snapshot format.
 type Config struct {
-	Dim                int     // dimensionality of the normalized domain (required)
-	SubpopsPerQuery    int     // m = SubpopsPerQuery·n, before capping
-	MaxSubpops         int     // hard cap on m
-	FixedSubpops       int     // if >0, m is fixed at this value (Fig 7c mode)
-	PointsPerPredicate int     // workload-aware points per observed query
-	NearestCenters     int     // neighbours used to size each subpopulation
-	Lambda             float64 // penalty weight of Problem 3
-	Seed               int64   // PRNG seed; same seed + same stream ⇒ same model
+	Dim                int     `json:"dim"`                     // dimensionality of the normalized domain (required)
+	SubpopsPerQuery    int     `json:"subpops_per_query"`       // m = SubpopsPerQuery·n, before capping
+	MaxSubpops         int     `json:"max_subpops"`             // hard cap on m
+	FixedSubpops       int     `json:"fixed_subpops,omitempty"` // if >0, m is fixed at this value (Fig 7c mode)
+	PointsPerPredicate int     `json:"points_per_predicate"`    // workload-aware points per observed query
+	NearestCenters     int     `json:"nearest_centers"`         // neighbours used to size each subpopulation
+	Lambda             float64 `json:"lambda"`                  // penalty weight of Problem 3
+	Seed               int64   `json:"seed"`                    // PRNG seed; same seed + same stream ⇒ same model
 	// UseIterativeSolver switches training to the projected-gradient QP of
 	// internal/qp, standing in for the "Standard QP" baseline in Figure 6
 	// and the solver ablation. Off by default (analytic solve).
-	UseIterativeSolver bool
+	UseIterativeSolver bool `json:"use_iterative_solver,omitempty"`
 	// Workers bounds the goroutines used by Train's parallel kernels
 	// (Q-matrix assembly, the Gram product, the blocked Cholesky):
 	// 0 = GOMAXPROCS, 1 = sequential. Every worker count produces
 	// bit-identical subpopulation weights; the knob trades cores for wall
-	// clock only.
-	Workers int
+	// clock only. It is persisted anyway, so a restored model (and the
+	// serving daemon's snapshot-clone retraining path) keeps the operator's
+	// parallelism cap.
+	Workers int `json:"workers,omitempty"`
 	// WarmStart keeps the analytic solver's Cholesky factorization (and its
 	// ridge) between training runs. While the subpopulation set is frozen —
 	// at the MaxSubpops cap or under FixedSubpops — a small feedback batch
@@ -71,19 +74,43 @@ type Config struct {
 	// O(m³); larger batches and any change to the subpopulation budget fall
 	// back to the full blocked factorization. Warm retrains match full
 	// retrains to solver rounding, not bit-for-bit. Ignored by the
-	// iterative solver.
-	WarmStart bool
+	// iterative solver. Snapshots carry the setting but not the
+	// factorization, which is O(m²) floats and cheaper to rebuild than to
+	// ship, so a restored model's first retrain is always full.
+	WarmStart bool `json:"warm_start,omitempty"`
 	// MaxObservations caps the retained feedback history with the coreset
 	// merge/evict pass: an incoming observation whose box overlaps a
 	// retained one above MergeThreshold (Jaccard) merges into it
 	// (weighted-average corners and selectivity, summed weight); otherwise
 	// the minimum-weight record is evicted to make room. 0 keeps the full
 	// history (paper behaviour).
-	MaxObservations int
+	MaxObservations int `json:"max_observations,omitempty"`
 	// MergeThreshold is the Jaccard overlap in (0,1] above which the
 	// coreset merges two observations. 0 selects DefaultMergeThreshold.
 	// Only meaningful when MaxObservations > 0.
-	MergeThreshold float64
+	MergeThreshold float64 `json:"merge_threshold,omitempty"`
+}
+
+// validate rejects a configuration New cannot build and Restore must not
+// accept from a snapshot: a non-positive Dim, a negative, NaN or infinite
+// Lambda (the solve fails on it, and JSON cannot encode it), a negative
+// count, or a MergeThreshold outside [0,1].
+func (c Config) validate() error {
+	if c.Dim < 1 {
+		return fmt.Errorf("Dim must be >= 1, got %d", c.Dim)
+	}
+	if !(c.Lambda >= 0) || math.IsInf(c.Lambda, 1) {
+		return fmt.Errorf("Lambda must be finite and >= 0, got %g", c.Lambda)
+	}
+	if c.FixedSubpops < 0 || c.SubpopsPerQuery < 0 || c.MaxSubpops < 0 ||
+		c.PointsPerPredicate < 0 || c.NearestCenters < 0 || c.Workers < 0 ||
+		c.MaxObservations < 0 {
+		return errors.New("negative configuration value")
+	}
+	if !(c.MergeThreshold >= 0 && c.MergeThreshold <= 1) {
+		return fmt.Errorf("MergeThreshold %g outside [0,1]", c.MergeThreshold)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -194,39 +221,39 @@ func (s *countingSource) Seed(seed int64) {
 
 // New returns an empty model over [0,1)^Dim.
 func New(cfg Config) (*Model, error) {
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: Dim must be >= 1, got %d", cfg.Dim)
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.Lambda < 0 {
-		return nil, fmt.Errorf("core: negative Lambda %g", cfg.Lambda)
-	}
-	if cfg.FixedSubpops < 0 || cfg.SubpopsPerQuery < 0 || cfg.MaxSubpops < 0 ||
-		cfg.PointsPerPredicate < 0 || cfg.NearestCenters < 0 || cfg.Workers < 0 ||
-		cfg.MaxObservations < 0 {
-		return nil, errors.New("core: negative configuration value")
-	}
-	if cfg.MergeThreshold < 0 || cfg.MergeThreshold > 1 || math.IsNaN(cfg.MergeThreshold) {
-		return nil, fmt.Errorf("core: MergeThreshold %g outside [0,1]", cfg.MergeThreshold)
-	}
-	c := cfg.withDefaults()
-	src := &countingSource{src: rand.NewSource(c.Seed)}
-	m := &Model{
-		cfg:  c,
-		rng:  rand.New(src),
-		src:  src,
-		unit: geom.Unit(c.Dim),
-		qlo:  make([]float64, c.Dim),
-		qhi:  make([]float64, c.Dim),
-	}
-	m.defaultPoints = make([][]float64, c.PointsPerPredicate)
+	m := newModel(cfg.withDefaults(), 0)
+	m.defaultPoints = make([][]float64, m.cfg.PointsPerPredicate)
 	for i := range m.defaultPoints {
-		p := make([]float64, c.Dim)
+		p := make([]float64, m.cfg.Dim)
 		for d := range p {
 			p[d] = m.rng.Float64()
 		}
 		m.defaultPoints[i] = p
 	}
 	return m, nil
+}
+
+// newModel returns a model over cfg holding no observations or trained
+// state, with its PRNG positioned draws values into cfg.Seed's stream: 0
+// for a new model, the recorded count for a restored or cloned one, so its
+// later draws are the ones the original would have made.
+func newModel(cfg Config, draws uint64) *Model {
+	src := &countingSource{src: rand.NewSource(cfg.Seed)}
+	for i := uint64(0); i < draws; i++ {
+		src.src.Int63() // fast-forward without inflating the count
+	}
+	src.n = draws
+	return &Model{
+		cfg:  cfg,
+		rng:  rand.New(src),
+		src:  src,
+		unit: geom.Unit(cfg.Dim),
+		qlo:  make([]float64, cfg.Dim),
+		qhi:  make([]float64, cfg.Dim),
+	}
 }
 
 // Dim returns the model's dimensionality.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"quicksel/internal/geom"
 )
@@ -17,98 +16,20 @@ const SnapshotVersion = 1
 // models stay orders of magnitude below.
 const maxRngDraws = 1 << 33
 
-// SnapshotBox is the serialized form of a geom.Box.
-type SnapshotBox struct {
-	Lo []float64 `json:"lo"`
-	Hi []float64 `json:"hi"`
-}
-
-func boxToSnapshot(b geom.Box) SnapshotBox {
-	c := b.Clone()
-	return SnapshotBox{Lo: c.Lo, Hi: c.Hi}
-}
-
-func (s SnapshotBox) box() geom.Box {
-	return geom.Box{Lo: s.Lo, Hi: s.Hi}.Clone()
-}
-
 // SnapshotObservation is one serialized training record: the lowered
 // predicate box, the observed selectivity, and the workload-aware points
 // drawn inside the box at observation time. Persisting the points keeps
 // post-restore retraining deterministic: the center pool of §3.3 is rebuilt
 // from exactly the same candidates.
 type SnapshotObservation struct {
-	Lo  []float64 `json:"lo"`
-	Hi  []float64 `json:"hi"`
-	Sel float64   `json:"sel"`
+	geom.Box
+	Sel float64 `json:"sel"`
 	// Weight is the coreset weight: how many raw feedback records this one
 	// stands for. Omitted when 1 (the uncoalesced default), so snapshots
 	// from models without an observation cap are byte-identical to the
 	// pre-coreset format; absent means 1 on restore.
 	Weight float64     `json:"weight,omitempty"`
 	Points [][]float64 `json:"points,omitempty"`
-}
-
-// SnapshotConfig mirrors Config with stable JSON names, decoupling the
-// serialized format from the Go struct.
-type SnapshotConfig struct {
-	Dim                int     `json:"dim"`
-	SubpopsPerQuery    int     `json:"subpops_per_query"`
-	MaxSubpops         int     `json:"max_subpops"`
-	FixedSubpops       int     `json:"fixed_subpops,omitempty"`
-	PointsPerPredicate int     `json:"points_per_predicate"`
-	NearestCenters     int     `json:"nearest_centers"`
-	Lambda             float64 `json:"lambda"`
-	Seed               int64   `json:"seed"`
-	UseIterativeSolver bool    `json:"use_iterative_solver,omitempty"`
-	// Workers is a runtime knob, not model state — every worker count trains
-	// bit-identically — but it is persisted so a restored model (and the
-	// serving daemon's snapshot-clone retraining path) keeps the operator's
-	// parallelism cap.
-	Workers int `json:"workers,omitempty"`
-	// Warm-start and coreset knobs (all zero before envelope v5). The warm
-	// factorization itself is not serialized — it is O(m²) floats and
-	// cheaper to rebuild than to ship — so a restored model's first retrain
-	// is always full.
-	WarmStart       bool    `json:"warm_start,omitempty"`
-	MaxObservations int     `json:"max_observations,omitempty"`
-	MergeThreshold  float64 `json:"merge_threshold,omitempty"`
-}
-
-func configToSnapshot(c Config) SnapshotConfig {
-	return SnapshotConfig{
-		Dim:                c.Dim,
-		SubpopsPerQuery:    c.SubpopsPerQuery,
-		MaxSubpops:         c.MaxSubpops,
-		FixedSubpops:       c.FixedSubpops,
-		PointsPerPredicate: c.PointsPerPredicate,
-		NearestCenters:     c.NearestCenters,
-		Lambda:             c.Lambda,
-		Seed:               c.Seed,
-		UseIterativeSolver: c.UseIterativeSolver,
-		Workers:            c.Workers,
-		WarmStart:          c.WarmStart,
-		MaxObservations:    c.MaxObservations,
-		MergeThreshold:     c.MergeThreshold,
-	}
-}
-
-func (s SnapshotConfig) config() Config {
-	return Config{
-		Dim:                s.Dim,
-		SubpopsPerQuery:    s.SubpopsPerQuery,
-		MaxSubpops:         s.MaxSubpops,
-		FixedSubpops:       s.FixedSubpops,
-		PointsPerPredicate: s.PointsPerPredicate,
-		NearestCenters:     s.NearestCenters,
-		Lambda:             s.Lambda,
-		Seed:               s.Seed,
-		UseIterativeSolver: s.UseIterativeSolver,
-		Workers:            s.Workers,
-		WarmStart:          s.WarmStart,
-		MaxObservations:    s.MaxObservations,
-		MergeThreshold:     s.MergeThreshold,
-	}
 }
 
 // Snapshot is the complete serializable state of a Model: configuration,
@@ -123,10 +44,10 @@ func (s SnapshotConfig) config() Config {
 // behaviour).
 type Snapshot struct {
 	Version       int                   `json:"version"`
-	Config        SnapshotConfig        `json:"config"`
+	Config        Config                `json:"config"`
 	DefaultPoints [][]float64           `json:"default_points"`
 	Observations  []SnapshotObservation `json:"observations"`
-	Subpops       []SnapshotBox         `json:"subpops,omitempty"`
+	Subpops       []geom.Box            `json:"subpops,omitempty"`
 	Weights       []float64             `json:"weights,omitempty"`
 	Trained       bool                  `json:"trained"`
 	RngDraws      uint64                `json:"rng_draws,omitempty"`
@@ -151,17 +72,15 @@ func copyPoints(pts [][]float64) [][]float64 {
 func (m *Model) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:       SnapshotVersion,
-		Config:        configToSnapshot(m.cfg),
+		Config:        m.cfg,
 		DefaultPoints: copyPoints(m.defaultPoints),
 		Trained:       m.trained,
 		RngDraws:      m.src.n,
 	}
 	s.Observations = make([]SnapshotObservation, len(m.observations))
 	for i, o := range m.observations {
-		b := boxToSnapshot(o.box)
 		so := SnapshotObservation{
-			Lo:     b.Lo,
-			Hi:     b.Hi,
+			Box:    o.box.Clone(),
 			Sel:    o.sel,
 			Points: copyPoints(o.points),
 		}
@@ -171,9 +90,9 @@ func (m *Model) Snapshot() *Snapshot {
 		s.Observations[i] = so
 	}
 	if len(m.subpops) > 0 {
-		s.Subpops = make([]SnapshotBox, len(m.subpops))
+		s.Subpops = make([]geom.Box, len(m.subpops))
 		for i, b := range m.subpops {
-			s.Subpops[i] = boxToSnapshot(b)
+			s.Subpops[i] = b.Clone()
 		}
 		s.Weights = make([]float64, len(m.weights))
 		copy(s.Weights, m.weights)
@@ -192,20 +111,9 @@ func Restore(s *Snapshot) (*Model, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d (want %d)", s.Version, SnapshotVersion)
 	}
-	cfg := s.Config.config()
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: snapshot Dim must be >= 1, got %d", cfg.Dim)
-	}
-	if cfg.Lambda < 0 || math.IsNaN(cfg.Lambda) {
-		return nil, fmt.Errorf("core: snapshot has invalid Lambda %g", cfg.Lambda)
-	}
-	if cfg.FixedSubpops < 0 || cfg.SubpopsPerQuery < 0 || cfg.MaxSubpops < 0 ||
-		cfg.PointsPerPredicate < 0 || cfg.NearestCenters < 0 || cfg.Workers < 0 ||
-		cfg.MaxObservations < 0 {
-		return nil, fmt.Errorf("core: snapshot has negative configuration value")
-	}
-	if cfg.MergeThreshold < 0 || cfg.MergeThreshold > 1 || math.IsNaN(cfg.MergeThreshold) {
-		return nil, fmt.Errorf("core: snapshot MergeThreshold %g outside [0,1]", cfg.MergeThreshold)
+	cfg := s.Config
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
 	if len(s.Weights) != len(s.Subpops) {
 		return nil, fmt.Errorf("core: snapshot has %d weights for %d subpopulations",
@@ -219,19 +127,7 @@ func Restore(s *Snapshot) (*Model, error) {
 	if s.RngDraws > maxRngDraws {
 		return nil, fmt.Errorf("core: snapshot rng_draws %d exceeds the %d bound (corrupt snapshot?)", s.RngDraws, uint64(maxRngDraws))
 	}
-	src := &countingSource{src: rand.NewSource(cfg.Seed)}
-	for i := uint64(0); i < s.RngDraws; i++ {
-		src.src.Int63() // fast-forward without inflating the count
-	}
-	src.n = s.RngDraws
-	m := &Model{
-		cfg:  cfg.withDefaults(),
-		rng:  rand.New(src),
-		src:  src,
-		unit: geom.Unit(cfg.Dim),
-		qlo:  make([]float64, cfg.Dim),
-		qhi:  make([]float64, cfg.Dim),
-	}
+	m := newModel(cfg.withDefaults(), s.RngDraws)
 	checkPoint := func(p []float64, what string) error {
 		if len(p) != cfg.Dim {
 			return fmt.Errorf("core: snapshot %s point has dim %d, model has %d", what, len(p), cfg.Dim)
@@ -251,7 +147,7 @@ func Restore(s *Snapshot) (*Model, error) {
 	m.defaultPoints = copyPoints(s.DefaultPoints)
 	m.observations = make([]observation, len(s.Observations))
 	for i, o := range s.Observations {
-		box := SnapshotBox{Lo: o.Lo, Hi: o.Hi}.box()
+		box := o.Box.Clone()
 		if box.Dim() != cfg.Dim {
 			return nil, fmt.Errorf("core: snapshot observation %d has dim %d, model has %d", i, box.Dim(), cfg.Dim)
 		}
@@ -290,7 +186,7 @@ func Restore(s *Snapshot) (*Model, error) {
 	if len(s.Subpops) > 0 {
 		m.subpops = make([]geom.Box, len(s.Subpops))
 		for i, sb := range s.Subpops {
-			box := sb.box()
+			box := sb.Clone()
 			if box.Dim() != cfg.Dim {
 				return nil, fmt.Errorf("core: snapshot subpopulation %d has dim %d, model has %d", i, box.Dim(), cfg.Dim)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"quicksel/internal/geom"
 	"quicksel/internal/qp"
@@ -227,25 +226,13 @@ func (m *Model) evictObservation() {
 // PRNG resumes the same deterministic stream position, so clone and
 // original behave bit-identically from here on.
 func (m *Model) Clone() *Model {
-	src := &countingSource{src: rand.NewSource(m.cfg.Seed)}
-	for i := uint64(0); i < m.src.n; i++ {
-		src.src.Int63() // fast-forward without inflating the count
-	}
-	src.n = m.src.n
-	c := &Model{
-		cfg:           m.cfg,
-		rng:           rand.New(src),
-		src:           src,
-		unit:          geom.Unit(m.cfg.Dim),
-		qlo:           make([]float64, m.cfg.Dim),
-		qhi:           make([]float64, m.cfg.Dim),
-		defaultPoints: copyPoints(m.defaultPoints),
-		trained:       m.trained,
-		compiled:      m.compiled, // immutable after compile; safe to share
-		lastIters:     m.lastIters,
-		lastTrainMode: m.lastTrainMode,
-		warmObs:       m.warmObs,
-	}
+	c := newModel(m.cfg, m.src.n)
+	c.defaultPoints = copyPoints(m.defaultPoints)
+	c.trained = m.trained
+	c.compiled = m.compiled // immutable after compile; safe to share
+	c.lastIters = m.lastIters
+	c.lastTrainMode = m.lastTrainMode
+	c.warmObs = m.warmObs
 	c.observations = make([]observation, len(m.observations))
 	for i, o := range m.observations {
 		c.observations[i] = observation{box: o.box.Clone(), sel: o.sel, weight: o.weight, points: copyPoints(o.points)}

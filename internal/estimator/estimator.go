@@ -22,7 +22,6 @@ import (
 
 	"quicksel/internal/core"
 	"quicksel/internal/geom"
-	"quicksel/internal/lifecycle"
 )
 
 // Method names accepted by New and recorded in snapshots.
@@ -72,24 +71,13 @@ func (e *UnknownMethodError) Error() string {
 type Config struct {
 	// Method selects the backend; "" means QuickSel.
 	Method string
-	// Dim is the dimensionality of the normalized domain.
-	Dim int
-	// Seed drives every pseudo-random draw (QuickSel subpopulation
-	// generation, the scan-backed synthetic rows). Backends are fully
-	// deterministic in it.
-	Seed int64
-
-	// QuickSel knobs; see the core package for semantics and defaults.
-	MaxSubpops         int
-	SubpopsPerQuery    int
-	FixedSubpops       int
-	PointsPerPredicate int
-	Lambda             float64
-	UseIterativeSolver bool
-	Workers            int
-	WarmStart          bool
-	MaxObservations    int
-	MergeThreshold     float64
+	// Config is QuickSel's configuration; see the core package for
+	// semantics and defaults. Its Dim (the dimensionality of the normalized
+	// domain) and Seed apply to every method: Seed drives every
+	// pseudo-random draw (QuickSel subpopulation generation, the
+	// scan-backed synthetic rows), and backends are fully deterministic in
+	// it.
+	core.Config
 
 	// MaxBuckets bounds the bucket tree (STHoles) or the disjoint partition
 	// (Isomer, MaxEnt). 0 keeps the method's serving default.
@@ -102,25 +90,6 @@ type Config struct {
 	// RowsPerObservation is how many synthetic rows the scan-backed methods
 	// materialize per feedback record (default 128).
 	RowsPerObservation int
-
-	// Lifecycle carries the model-lifecycle knobs (retrain policy, drift
-	// threshold, accuracy window, version history). Backends ignore it; the
-	// public Estimator and the serving registry consume it.
-	Lifecycle lifecycle.Config
-
-	// WAL carries the write-ahead-log knobs (directory, fsync policy,
-	// segment size). Backends ignore it; the public Estimator consumes it
-	// to append observations durably and replay them on restart.
-	WAL WALConfig
-}
-
-// WALConfig is the write-ahead-log tuning carried by Config. A zero Dir
-// disables the log; the other fields keep the wal package defaults when
-// zero.
-type WALConfig struct {
-	Dir         string
-	Sync        string
-	SegmentSize int64
 }
 
 // Stats is the common status snapshot every backend reports.

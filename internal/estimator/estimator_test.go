@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"quicksel/internal/core"
 	"quicksel/internal/geom"
 )
 
@@ -36,7 +37,7 @@ var probes = [][]geom.Box{
 
 func newTrained(t *testing.T, method string) Backend {
 	t.Helper()
-	b, err := New(Config{Method: method, Dim: 2, Seed: 7})
+	b, err := New(Config{Method: method, Config: core.Config{Dim: 2, Seed: 7}})
 	if err != nil {
 		t.Fatalf("New(%s): %v", method, err)
 	}
@@ -145,7 +146,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 }
 
 func TestUnknownMethod(t *testing.T) {
-	_, err := New(Config{Method: "histogrm", Dim: 2})
+	_, err := New(Config{Method: "histogrm", Config: core.Config{Dim: 2}})
 	if err == nil {
 		t.Fatal("New accepted unknown method")
 	}
@@ -173,7 +174,7 @@ func errAs(err error, target **UnknownMethodError) bool {
 }
 
 func TestDefaultMethodIsQuickSel(t *testing.T) {
-	b, err := New(Config{Dim: 2, Seed: 1})
+	b, err := New(Config{Config: core.Config{Dim: 2, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 func TestScanBackendCompaction(t *testing.T) {
 	for _, method := range []string{Sample, ScanHist} {
 		t.Run(method, func(t *testing.T) {
-			b, err := New(Config{Method: method, Dim: 2, Seed: 11, RowsPerObservation: 2, SampleSize: 64, GridBuckets: 64})
+			b, err := New(Config{Method: method, Config: core.Config{Dim: 2, Seed: 11}, RowsPerObservation: 2, SampleSize: 64, GridBuckets: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +267,7 @@ func TestScanBackendCompaction(t *testing.T) {
 
 func TestObserveValidation(t *testing.T) {
 	for _, method := range Methods() {
-		b, err := New(Config{Method: method, Dim: 2, Seed: 3})
+		b, err := New(Config{Method: method, Config: core.Config{Dim: 2, Seed: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,20 +17,7 @@ type quickselBackend struct {
 }
 
 func newQuickSel(cfg Config) (*quickselBackend, error) {
-	m, err := core.New(core.Config{
-		Dim:                cfg.Dim,
-		Seed:               cfg.Seed,
-		MaxSubpops:         cfg.MaxSubpops,
-		SubpopsPerQuery:    cfg.SubpopsPerQuery,
-		FixedSubpops:       cfg.FixedSubpops,
-		PointsPerPredicate: cfg.PointsPerPredicate,
-		Lambda:             cfg.Lambda,
-		UseIterativeSolver: cfg.UseIterativeSolver,
-		Workers:            cfg.Workers,
-		WarmStart:          cfg.WarmStart,
-		MaxObservations:    cfg.MaxObservations,
-		MergeThreshold:     cfg.MergeThreshold,
-	})
+	m, err := core.New(cfg.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // This file contains ablations beyond the paper's figures, exercising the
-// design choices DESIGN.md §5 calls out: the penalty weight λ, the
+// design choices the paper fixes in §3.3 and §4: the penalty weight λ, the
 // points-per-predicate constant, the subpopulation cap, and the solver
 // choice on identical inputs.
 

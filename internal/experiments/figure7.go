@@ -255,7 +255,7 @@ func RunFigure7d(cfg Figure7dConfig) (*Figure7dResult, error) {
 		// queries; cap at 250 to keep the m×m solve laptop-sized while
 		// preserving the comparison (QuickSel's accuracy saturates, §5.6).
 		// Queries are data-centered with wide per-dimension windows so high-
-		// dimensional truths stay meaningfully above zero (see DESIGN.md §3).
+		// dimensional truths stay meaningfully above zero.
 		nTrain := cfg.Budget
 		if nTrain > 250 {
 			nTrain = 250

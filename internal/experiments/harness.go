@@ -1,5 +1,5 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (§5), plus the ablations DESIGN.md calls out. Every
+// paper's evaluation (§5), plus ablations of its design choices. Every
 // driver is deterministic in its seed, returns a structured result, and
 // renders the same rows/series the paper reports. bench_test.go at the
 // repository root exposes each driver as a testing.B benchmark, and
@@ -177,7 +177,7 @@ func DatasetByName(name string, rows int, seed int64) (*workload.Dataset, []work
 // Instacart workloads are data-centered — the paper's queries probe actual
 // registrations/orders, and the DMV data concentrates on a thin
 // (registration, expiration) band that uniformly random rectangles would
-// almost always miss (DESIGN.md §3).
+// almost always miss.
 func QueriesFor(ds *workload.Dataset, n int, seed int64) []workload.Query {
 	switch {
 	case strings.HasPrefix(ds.Name, "dmv"):

@@ -17,10 +17,11 @@ import (
 
 // Box is an axis-aligned hyperrectangle. The zero value is a 0-dimensional
 // box with volume 1 (the empty product), which is rarely useful; construct
-// boxes with NewBox or Unit.
+// boxes with NewBox or Unit. Its JSON form, {"lo": [...], "hi": [...]}, is
+// the box of every persisted model snapshot.
 type Box struct {
-	Lo []float64 // inclusive lower corner
-	Hi []float64 // exclusive upper corner
+	Lo []float64 `json:"lo"` // inclusive lower corner
+	Hi []float64 `json:"hi"` // exclusive upper corner
 }
 
 // NewBox returns the box with the given corners. It panics if the corner

@@ -65,19 +65,19 @@ func (s Solver) String() string {
 // if they satisfy the 0/1 property against the existing partition.
 const DefaultMaxBuckets = 200000
 
-// Config tunes the histogram.
+// Config tunes the histogram. Its JSON form heads a persisted Snapshot.
 type Config struct {
-	Dim        int
-	Solver     Solver
-	MaxBuckets int     // 0 means DefaultMaxBuckets
-	Lambda     float64 // QP penalty; 0 means qp.DefaultLambda
+	Dim        int     `json:"dim"`
+	Solver     Solver  `json:"solver"`
+	MaxBuckets int     `json:"max_buckets"`      // 0 means DefaultMaxBuckets
+	Lambda     float64 `json:"lambda,omitempty"` // QP penalty; 0 means qp.DefaultLambda
 	// ScalingOptions tunes iterative scaling.
-	ScalingIters int     // 0 means 500
-	ScalingTol   float64 // 0 means 1e-6
+	ScalingIters int     `json:"scaling_iters,omitempty"` // 0 means 500
+	ScalingTol   float64 `json:"scaling_tol,omitempty"`   // 0 means 1e-6
 	// IncrementalScaling enables the optimized iterative-scaling update
 	// (see maxent.Options.Incremental). Off by default so the baseline runs
 	// the algorithm as published.
-	IncrementalScaling bool
+	IncrementalScaling bool `json:"incremental_scaling,omitempty"`
 }
 
 // Histogram is an ISOMER max-entropy histogram.

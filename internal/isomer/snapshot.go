@@ -7,17 +7,10 @@ import (
 	"quicksel/internal/geom"
 )
 
-// SnapshotBox is the serialized form of one partition bucket.
-type SnapshotBox struct {
-	Lo []float64 `json:"lo"`
-	Hi []float64 `json:"hi"`
-}
-
 // SnapshotQuery is one serialized observed query.
 type SnapshotQuery struct {
-	Lo  []float64 `json:"lo"`
-	Hi  []float64 `json:"hi"`
-	Sel float64   `json:"sel"`
+	geom.Box
+	Sel float64 `json:"sel"`
 }
 
 // Snapshot is the complete serializable state of a Histogram: configuration,
@@ -25,43 +18,29 @@ type SnapshotQuery struct {
 // the solved bucket frequencies. ISOMER uses no randomness, so a restored
 // histogram serves bit-identical estimates without re-running the solver.
 type Snapshot struct {
-	Dim                int             `json:"dim"`
-	Solver             int             `json:"solver"`
-	MaxBuckets         int             `json:"max_buckets"`
-	Lambda             float64         `json:"lambda,omitempty"`
-	ScalingIters       int             `json:"scaling_iters,omitempty"`
-	ScalingTol         float64         `json:"scaling_tol,omitempty"`
-	IncrementalScaling bool            `json:"incremental_scaling,omitempty"`
-	Buckets            []SnapshotBox   `json:"buckets"`
-	Queries            []SnapshotQuery `json:"queries,omitempty"`
-	Weights            []float64       `json:"weights,omitempty"`
-	Trained            bool            `json:"trained"`
-	Frozen             bool            `json:"frozen,omitempty"`
+	Config
+	Buckets []geom.Box      `json:"buckets"`
+	Queries []SnapshotQuery `json:"queries,omitempty"`
+	Weights []float64       `json:"weights,omitempty"`
+	Trained bool            `json:"trained"`
+	Frozen  bool            `json:"frozen,omitempty"`
 }
 
 // Snapshot exports the histogram's full state. The returned value shares no
 // storage with the histogram and can be marshaled to JSON.
 func (h *Histogram) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Dim:                h.cfg.Dim,
-		Solver:             int(h.cfg.Solver),
-		MaxBuckets:         h.cfg.MaxBuckets,
-		Lambda:             h.cfg.Lambda,
-		ScalingIters:       h.cfg.ScalingIters,
-		ScalingTol:         h.cfg.ScalingTol,
-		IncrementalScaling: h.cfg.IncrementalScaling,
-		Trained:            h.trained,
-		Frozen:             h.frozen,
+		Config:  h.cfg,
+		Trained: h.trained,
+		Frozen:  h.frozen,
 	}
-	s.Buckets = make([]SnapshotBox, len(h.buckets))
+	s.Buckets = make([]geom.Box, len(h.buckets))
 	for i, b := range h.buckets {
-		c := b.Clone()
-		s.Buckets[i] = SnapshotBox{Lo: c.Lo, Hi: c.Hi}
+		s.Buckets[i] = b.Clone()
 	}
 	s.Queries = make([]SnapshotQuery, len(h.queries))
 	for i, q := range h.queries {
-		c := q.box.Clone()
-		s.Queries[i] = SnapshotQuery{Lo: c.Lo, Hi: c.Hi, Sel: q.sel}
+		s.Queries[i] = SnapshotQuery{Box: q.box.Clone(), Sel: q.sel}
 	}
 	if h.trained {
 		s.Weights = append([]float64(nil), h.weights...)
@@ -76,18 +55,10 @@ func Restore(s *Snapshot) (*Histogram, error) {
 	if s == nil {
 		return nil, fmt.Errorf("isomer: nil snapshot")
 	}
-	if s.Solver != int(IterativeScaling) && s.Solver != int(QuickSelQP) {
+	if s.Solver != IterativeScaling && s.Solver != QuickSelQP {
 		return nil, fmt.Errorf("isomer: snapshot has unknown solver %d", s.Solver)
 	}
-	h, err := New(Config{
-		Dim:                s.Dim,
-		Solver:             Solver(s.Solver),
-		MaxBuckets:         s.MaxBuckets,
-		Lambda:             s.Lambda,
-		ScalingIters:       s.ScalingIters,
-		ScalingTol:         s.ScalingTol,
-		IncrementalScaling: s.IncrementalScaling,
-	})
+	h, err := New(s.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +67,7 @@ func Restore(s *Snapshot) (*Histogram, error) {
 	}
 	h.buckets = make([]geom.Box, len(s.Buckets))
 	for i, sb := range s.Buckets {
-		box := geom.Box{Lo: sb.Lo, Hi: sb.Hi}.Clone()
+		box := sb.Clone()
 		if box.Dim() != s.Dim {
 			return nil, fmt.Errorf("isomer: snapshot bucket %d has dim %d, want %d", i, box.Dim(), s.Dim)
 		}
@@ -107,7 +78,7 @@ func Restore(s *Snapshot) (*Histogram, error) {
 	}
 	h.queries = make([]obsQuery, len(s.Queries))
 	for i, sq := range s.Queries {
-		box := geom.Box{Lo: sq.Lo, Hi: sq.Hi}.Clone()
+		box := sq.Box.Clone()
 		if box.Dim() != s.Dim {
 			return nil, fmt.Errorf("isomer: snapshot query %d has dim %d, want %d", i, box.Dim(), s.Dim)
 		}

@@ -179,7 +179,7 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 // an escalating diagonal ridge if the bare factorization fails. QuickSel's
 // system Q + λAᵀA is PSD and occasionally rank-deficient when subpopulation
 // boxes coincide; a relative ridge restores definiteness without visibly
-// perturbing the weights (DESIGN.md §5.2). It returns the ridge used.
+// perturbing the weights. It returns the ridge used.
 func SolveSPD(m *Matrix, b []float64) (x []float64, ridge float64, err error) {
 	return SolveSPDWorkers(m, b, 0)
 }

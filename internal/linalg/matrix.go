@@ -3,7 +3,7 @@
 // factorization used to solve the SPD system (Q + λAᵀA) w = λAᵀs of
 // Problem 3. The paper's prototype used jblas; no comparable library exists
 // for stdlib-only Go, so this package hand-rolls exactly the operations the
-// solver needs (see DESIGN.md §3).
+// solver needs (see ARCHITECTURE.md, "Numerical substrate").
 package linalg
 
 import (

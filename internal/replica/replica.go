@@ -104,10 +104,6 @@ type Config struct {
 	// before returning; an error fails the round (the records are refetched
 	// after backoff).
 	Apply func(recs []wal.Record, primaryTail uint64) error
-	// OnStatus, when non-nil, receives the follower's catch-up state after
-	// every round — the hook that keeps the registry's replication-lag
-	// gauge and readiness probe current.
-	OnStatus func(Status)
 
 	// Client issues the fetch requests; nil builds one whose timeout
 	// comfortably exceeds PollWait.
@@ -156,8 +152,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Status is the follower's catch-up state after one fetch round.
-type Status struct {
+// Stats snapshots the fetcher's counters.
+type Stats struct {
+	Fetches       uint64 `json:"fetches"`
+	FetchErrors   uint64 `json:"fetch_errors"`
+	TornResponses uint64 `json:"torn_responses"`
+	GapResponses  uint64 `json:"gap_responses"`
+	Records       uint64 `json:"records"`
+	Bytes         uint64 `json:"bytes"`
 	// Lag is the primary's durable tail minus the follower's applied
 	// watermark, as of the last successful round.
 	Lag uint64 `json:"lag"`
@@ -167,19 +169,6 @@ type Status struct {
 	// Healthy is false once UnhealthyAfter has passed without a successful
 	// round — the primary is unreachable or persistently failing.
 	Healthy bool `json:"healthy"`
-}
-
-// Stats snapshots the fetcher's counters.
-type Stats struct {
-	Fetches       uint64 `json:"fetches"`
-	FetchErrors   uint64 `json:"fetch_errors"`
-	TornResponses uint64 `json:"torn_responses"`
-	GapResponses  uint64 `json:"gap_responses"`
-	Records       uint64 `json:"records"`
-	Bytes         uint64 `json:"bytes"`
-	Lag           uint64 `json:"lag"`
-	CaughtUp      bool   `json:"caught_up"`
-	Healthy       bool   `json:"healthy"`
 	// PrimaryURL is the reachable base URL the primary last stamped on a
 	// WAL response (X-Quickseld-Primary, its -advertise-url); empty until
 	// a primary that advertises itself answers. A follower's
@@ -233,7 +222,7 @@ func (f *Fetcher) Stop() {
 
 // Stats snapshots the fetcher's counters and catch-up state.
 func (f *Fetcher) Stats() Stats {
-	st := f.status()
+	ok := f.lastOK.Load()
 	return Stats{
 		Fetches:       f.fetches.Load(),
 		FetchErrors:   f.fetchErrs.Load(),
@@ -241,9 +230,9 @@ func (f *Fetcher) Stats() Stats {
 		GapResponses:  f.gaps.Load(),
 		Records:       f.records.Load(),
 		Bytes:         f.bytes.Load(),
-		Lag:           st.Lag,
-		CaughtUp:      st.CaughtUp,
-		Healthy:       st.Healthy,
+		Lag:           f.lag.Load(),
+		CaughtUp:      f.caughtUp.Load(),
+		Healthy:       ok > 0 && time.Since(time.Unix(0, ok)) <= f.cfg.UnhealthyAfter,
 		PrimaryURL:    f.PrimaryURL(),
 	}
 }
@@ -255,15 +244,6 @@ func (f *Fetcher) PrimaryURL() string {
 		return *p
 	}
 	return ""
-}
-
-func (f *Fetcher) status() Status {
-	ok := f.lastOK.Load()
-	return Status{
-		Lag:      f.lag.Load(),
-		CaughtUp: f.caughtUp.Load(),
-		Healthy:  ok > 0 && time.Since(time.Unix(0, ok)) <= f.cfg.UnhealthyAfter,
-	}
 }
 
 // Run drives the fetch loop until Stop is called (returns nil), the
@@ -283,9 +263,6 @@ func (f *Fetcher) Run(ctx context.Context) error {
 		default:
 		}
 		progressed, err := f.round(ctx)
-		if f.cfg.OnStatus != nil {
-			f.cfg.OnStatus(f.status())
-		}
 		switch {
 		case errors.Is(err, ErrGap):
 			return ErrGap

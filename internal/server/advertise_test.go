@@ -14,11 +14,11 @@ import (
 	"quicksel/internal/replica"
 )
 
-// TestAdvertiseURLOnStatusAndWAL: a node with NodeID/AdvertiseURL reports
+// TestAdvertiseURLInStatusAndWAL: a node with NodeID/AdvertiseURL reports
 // them on GET /v1/replication/status, and a primary stamps its advertised
 // address on WAL fetch responses so followers learn the reachable URL from
 // the stream itself.
-func TestAdvertiseURLOnStatusAndWAL(t *testing.T) {
+func TestAdvertiseURLInStatusAndWAL(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{
 		SnapshotPath: filepath.Join(dir, "state.json"),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -104,5 +105,36 @@ func TestRegistrySnapshotFileCompat(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRegistryWALFileRoundTrip boots a registry with a write-ahead log from
+// the committed testdata/registry_wal.json — written by an older build's
+// registry running with a log — and requires the snapshot it saves to be
+// the same bytes: estimator envelopes, lifecycle entries and the log
+// watermarks all survive decode and re-encode unchanged.
+func TestRegistryWALFileRoundTrip(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "registry_wal.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "state.json")
+	if err := os.WriteFile(snap, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(Config{SnapshotPath: snap, WALDir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-saved registry file differs from the committed bytes:\n%s", got)
 	}
 }

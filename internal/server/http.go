@@ -468,7 +468,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	resp := observeResponse{Accepted: accepted, Dropped: len(batch) - accepted, Backlog: backlog}
 	status := http.StatusAccepted
 	if resp.Accepted == 0 && resp.Dropped > 0 {
-		status = http.StatusTooManyRequests // buffer full; client should back off
+		// Buffer full. The worker drains it on its next train tick, so the
+		// client backs off briefly and retries.
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
 	}
 	s.writeJSON(w, status, resp)
 	sp.Stage("encode")

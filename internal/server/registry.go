@@ -293,11 +293,10 @@ type Registry struct {
 	trainerUp atomic.Bool
 	draining  atomic.Bool // Close started: fail the probe before requests stop
 
-	// Replication state (see internal/server/replication.go). primary is
-	// the current role; trainerStarted (guarded by mu) records whether
-	// trainLoop was ever launched, so Promote starts it exactly once.
-	primary        atomic.Bool
-	trainerStarted bool
+	// primary is the current replication role (see
+	// internal/server/replication.go); the worker trains only while it is
+	// set.
+	primary atomic.Bool
 
 	// Primary-side follower bookkeeping: per-follower fetch watermarks (for
 	// the compaction floor) and semi-sync ack waiters.
@@ -394,20 +393,9 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		}
 	}
 	reg.walReady.Store(true)
-	if role == RolePrimary {
-		reg.primary.Store(true)
-		reg.trainerStarted = true
-		reg.wg.Add(1)
-		go reg.trainLoop()
-	} else {
-		// A follower serves exactly the primary's state: it must not train at
-		// its own cadence (training boundaries shape the model), so the
-		// trainer starts only at promotion. Replicated observations sit in
-		// the pending buffers (drained on buffer pressure only); a follower
-		// worker handles periodic snapshots.
-		reg.wg.Add(1)
-		go reg.followerLoop()
-	}
+	reg.primary.Store(role == RolePrimary)
+	reg.wg.Add(1)
+	go reg.trainLoop()
 	return reg, nil
 }
 
@@ -437,7 +425,7 @@ func (r *Registry) Readiness() Readiness {
 		Role:             r.Role(),
 		SnapshotRestored: r.snapReady.Load(),
 		WALReplayed:      r.walReady.Load(),
-		TrainerRunning:   r.trainerUp.Load(),
+		TrainerRunning:   r.trainerUp.Load() && r.IsPrimary(),
 	}
 	rd.Ready = rd.SnapshotRestored && rd.WALReplayed && !r.draining.Load()
 	if r.IsPrimary() {
@@ -864,11 +852,15 @@ func (r *Registry) kick() {
 	}
 }
 
-// trainLoop is the background worker: every TrainInterval it retrains all
-// estimators with pending observations (the interval is the debounce — a
-// burst of observations causes one retrain, not one per observation). A
-// drift alarm skips the debounce: the wake on driftWake trains immediately.
-// The loop also optionally persists snapshots on SnapshotInterval.
+// trainLoop is the registry's one background worker. While the registry
+// is primary, every TrainInterval it retrains all estimators with pending
+// observations (the interval is the debounce — a burst of observations
+// causes one retrain, not one per observation), and a drift alarm skips
+// the debounce: the wake on driftWake trains immediately. A follower must
+// serve exactly the primary's state, and training boundaries shape the
+// model, so it never trains here: replicated observations wait in the
+// pending buffers until a promotion makes the next tick train them. In
+// both roles the loop persists snapshots on SnapshotInterval.
 func (r *Registry) trainLoop() {
 	defer r.wg.Done()
 	r.trainerUp.Store(true)
@@ -890,12 +882,15 @@ func (r *Registry) trainLoop() {
 			// Debounce: note the work, let the next tick do it.
 			dirty = true
 		case <-r.driftWake:
+			if !r.IsPrimary() {
+				continue
+			}
 			dirty = false
 			if r.trainAll() {
 				return
 			}
 		case <-ticker.C:
-			if !dirty && !r.anyPending() {
+			if !r.IsPrimary() || (!dirty && !r.anyPending()) {
 				continue
 			}
 			dirty = false

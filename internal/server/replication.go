@@ -42,8 +42,8 @@ import (
 //
 // Promotion (POST /v1/replication/promote) flips the role: the daemon
 // stops the fetch loop first, then Registry.Promote marks the registry
-// primary and starts the training worker; buffered replicated observations
-// train exactly as they would have on the old primary.
+// primary, which lets the background worker train; buffered replicated
+// observations train exactly as they would have on the old primary.
 
 // Replication roles.
 const (
@@ -152,33 +152,19 @@ func (r *Registry) ReplicationResume() uint64 {
 	return r.wal.LastSeq() + 1
 }
 
-// Promote flips a follower to the primary role and starts the background
-// training worker (exactly once, even across repeated calls), so the
-// replicated observations buffered during followership train on the usual
-// cadence. It reports whether a flip happened; promoting a primary is a
-// no-op. The caller must stop feeding Replicate first (the daemon stops
-// the fetch loop before calling this).
+// Promote flips a follower to the primary role and wakes the background
+// worker, so the replicated observations buffered during followership
+// train on its next tick. It reports whether a flip happened; promoting a
+// primary is a no-op. The caller must stop feeding Replicate first (the
+// daemon stops the fetch loop before calling this).
 func (r *Registry) Promote() (promoted bool, err error) {
-	r.mu.Lock()
 	select {
 	case <-r.done:
-		r.mu.Unlock()
 		return false, fmt.Errorf("server: registry is closed")
 	default:
 	}
-	if r.primary.Load() {
-		r.mu.Unlock()
+	if !r.primary.CompareAndSwap(false, true) {
 		return false, nil
-	}
-	r.primary.Store(true)
-	start := !r.trainerStarted
-	if start {
-		r.trainerStarted = true
-		r.wg.Add(1)
-	}
-	r.mu.Unlock()
-	if start {
-		go r.trainLoop()
 	}
 	r.log.Info("promoted to primary",
 		slog.Uint64("applied", r.replApplied.Load()),
@@ -227,32 +213,6 @@ func (r *Registry) Replicate(recs []wal.Record) error {
 		}
 	}
 	return nil
-}
-
-// followerLoop is the follower's background worker: periodic snapshots
-// only (no training). It exits when the registry closes or is promoted —
-// trainLoop owns the snapshot cadence from promotion on.
-func (r *Registry) followerLoop() {
-	defer r.wg.Done()
-	if r.cfg.SnapshotInterval <= 0 || r.cfg.SnapshotPath == "" {
-		return
-	}
-	ticker := time.NewTicker(r.cfg.SnapshotInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-ticker.C:
-			if r.IsPrimary() {
-				return
-			}
-			if err := r.SaveSnapshot(); err != nil {
-				r.snapshotErrs.Add(1)
-				r.log.Error("periodic snapshot failed", slog.Any("error", err))
-			}
-		}
-	}
 }
 
 // UpdateFollowerAck records that the named follower has applied everything

@@ -132,6 +132,58 @@ func TestReplicateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFollowerWorkerSnapshotsWithoutTraining: a follower's background
+// worker writes its periodic snapshots but leaves replicated observations
+// untrained on every train tick, and /readyz reports no trainer; the first
+// tick after Promote trains them.
+func TestFollowerWorkerSnapshotsWithoutTraining(t *testing.T) {
+	primary := newPrimary(t, nil)
+	if err := primary.Create("people", walSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range walObservations(20, 5) {
+		if _, _, err := primary.Observe("people", o.Where, o.Sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	follower := newFollowerReg(t, func(c *Config) {
+		c.TrainInterval = 2 * time.Millisecond
+		c.SnapshotInterval = 10 * time.Millisecond
+	})
+	if err := follower.Replicate(shipAll(t, primary, 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, follower.List())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Three snapshot ticks span well over ten train ticks.
+	waitUntil("three periodic snapshots", func() bool { return follower.snapshotsSaved.Load() >= 3 })
+	if info := follower.List()[0]; info.Backlog != 20 || info.TrainRuns != 0 {
+		t.Fatalf("follower trained on a tick: backlog %d, train runs %d", info.Backlog, info.TrainRuns)
+	}
+	if follower.Readiness().TrainerRunning {
+		t.Fatal("follower reports trainer_running")
+	}
+
+	if promoted, err := follower.Promote(); err != nil || !promoted {
+		t.Fatalf("Promote = %v, %v", promoted, err)
+	}
+	waitUntil("the backlog to train", func() bool {
+		info := follower.List()[0]
+		return info.Backlog == 0 && info.TrainRuns > 0
+	})
+	if !follower.Readiness().TrainerRunning {
+		t.Fatal("promoted registry reports no trainer")
+	}
+}
+
 func TestReplicateOverlapAndGap(t *testing.T) {
 	primary := newPrimary(t, nil)
 	if err := primary.Create("people", walSchema(t)); err != nil {

@@ -192,7 +192,8 @@ func TestBackgroundTraining(t *testing.T) {
 }
 
 // TestObserveBackpressure checks the bounded buffer: a tiny buffer drops
-// the overflow, reports it, and answers 429 when nothing was accepted.
+// the overflow, reports it, and answers 429 with Retry-After when nothing
+// was accepted.
 func TestObserveBackpressure(t *testing.T) {
 	// A long train interval keeps the worker from draining mid-test.
 	srv, ts := newTestServer(t, Config{BufferSize: 2, TrainInterval: time.Hour})
@@ -217,11 +218,17 @@ func TestObserveBackpressure(t *testing.T) {
 			resp.Accepted, resp.Dropped, resp.Backlog)
 	}
 
-	// With the buffer already full, a lone observation is rejected outright.
-	status, _ = doJSON(t, "POST", ts.URL+"/v1/people/observe",
-		`{"where": "age >= 30", "selectivity": 0.5}`)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("status on full buffer = %d, want 429", status)
+	// With the buffer already full, a lone observation is rejected outright,
+	// and the client is told when to retry.
+	full, err := http.Post(ts.URL+"/v1/people/observe", "application/json",
+		strings.NewReader(`{"where": "age >= 30", "selectivity": 0.5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Body.Close()
+	if full.StatusCode != http.StatusTooManyRequests || full.Header.Get("Retry-After") != "1" {
+		t.Fatalf("full buffer answered %d with Retry-After %q, want 429 with 1",
+			full.StatusCode, full.Header.Get("Retry-After"))
 	}
 }
 

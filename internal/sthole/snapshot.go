@@ -10,8 +10,7 @@ import (
 // SnapshotBucket is the serialized form of one bucket of the STHoles tree:
 // its box, the tuple mass of its own region, and its nested holes.
 type SnapshotBucket struct {
-	Lo       []float64        `json:"lo"`
-	Hi       []float64        `json:"hi"`
+	geom.Box
 	Freq     float64          `json:"freq"`
 	Children []SnapshotBucket `json:"children,omitempty"`
 }
@@ -20,15 +19,13 @@ type SnapshotBucket struct {
 // histogram produces bit-identical estimates: the whole model is the bucket
 // tree, and the tree is persisted exactly (STHoles uses no randomness).
 type Snapshot struct {
-	Dim         int            `json:"dim"`
-	MaxBuckets  int            `json:"max_buckets"`
+	Config
 	NumObserved int            `json:"num_observed"`
 	Root        SnapshotBucket `json:"root"`
 }
 
 func bucketToSnapshot(b *bucket) SnapshotBucket {
-	c := b.box.Clone()
-	out := SnapshotBucket{Lo: c.Lo, Hi: c.Hi, Freq: b.freq}
+	out := SnapshotBucket{Box: b.box.Clone(), Freq: b.freq}
 	if len(b.children) > 0 {
 		out.Children = make([]SnapshotBucket, len(b.children))
 		for i, ch := range b.children {
@@ -42,15 +39,14 @@ func bucketToSnapshot(b *bucket) SnapshotBucket {
 // storage with the histogram and can be marshaled to JSON.
 func (h *Histogram) Snapshot() *Snapshot {
 	return &Snapshot{
-		Dim:         h.cfg.Dim,
-		MaxBuckets:  h.cfg.MaxBuckets,
+		Config:      h.cfg,
 		NumObserved: h.nObs,
 		Root:        bucketToSnapshot(h.root),
 	}
 }
 
 func bucketFromSnapshot(s SnapshotBucket, dim int) (*bucket, int, error) {
-	box := geom.Box{Lo: s.Lo, Hi: s.Hi}.Clone()
+	box := s.Box.Clone()
 	if box.Dim() != dim {
 		return nil, 0, fmt.Errorf("sthole: snapshot bucket has dim %d, want %d", box.Dim(), dim)
 	}
@@ -83,28 +79,17 @@ func Restore(s *Snapshot) (*Histogram, error) {
 	if s == nil {
 		return nil, fmt.Errorf("sthole: nil snapshot")
 	}
-	if s.Dim < 1 {
-		return nil, fmt.Errorf("sthole: snapshot Dim must be >= 1, got %d", s.Dim)
-	}
-	maxBuckets := s.MaxBuckets
-	if maxBuckets == 0 {
-		maxBuckets = DefaultMaxBuckets
-	}
-	if maxBuckets < 1 {
-		return nil, fmt.Errorf("sthole: snapshot MaxBuckets must be positive, got %d", s.MaxBuckets)
+	h, err := New(s.Config)
+	if err != nil {
+		return nil, err
 	}
 	if s.NumObserved < 0 {
 		return nil, fmt.Errorf("sthole: snapshot NumObserved is negative")
 	}
-	root, count, err := bucketFromSnapshot(s.Root, s.Dim)
+	h.root, h.count, err = bucketFromSnapshot(s.Root, s.Dim)
 	if err != nil {
 		return nil, err
 	}
-	return &Histogram{
-		cfg:   Config{Dim: s.Dim, MaxBuckets: maxBuckets},
-		unit:  geom.Unit(s.Dim),
-		root:  root,
-		count: count,
-		nObs:  s.NumObserved,
-	}, nil
+	h.nObs = s.NumObserved
+	return h, nil
 }

@@ -33,10 +33,10 @@ import (
 // histogram within budget.
 const DefaultMaxBuckets = 1000
 
-// Config tunes the histogram.
+// Config tunes the histogram. Its JSON form heads a persisted Snapshot.
 type Config struct {
-	Dim        int
-	MaxBuckets int // 0 means DefaultMaxBuckets
+	Dim        int `json:"dim"`
+	MaxBuckets int `json:"max_buckets"` // 0 means DefaultMaxBuckets
 }
 
 // bucket is one node of the STHoles tree. freq is the estimated fraction of

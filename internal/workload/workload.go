@@ -2,9 +2,9 @@
 // paper's evaluation (§5.1): a correlated multivariate Gaussian, a
 // synthetic stand-in for the NY State DMV registration data, and a
 // synthetic stand-in for the Instacart orders table. The real DMV and
-// Instacart dumps are not redistributable; DESIGN.md §3 documents why the
-// synthetic substitutes preserve the evaluation's behaviour (all methods
-// consume only (predicate, true-selectivity) pairs over a shared table).
+// Instacart dumps are not redistributable. The synthetic substitutes
+// preserve the evaluation's behaviour because all methods consume only
+// (predicate, true-selectivity) pairs over a shared table.
 package workload
 
 import (

@@ -7,7 +7,17 @@ import (
 )
 
 // Option configures an Estimator at construction time.
-type Option func(*estimator.Config)
+type Option func(*settings)
+
+// settings is what the options set: the backend's configuration, the
+// lifecycle tuning, and the write-ahead log's directory and options (an
+// empty walDir means no log).
+type settings struct {
+	model     estimator.Config
+	lifecycle lifecycle.Config
+	walDir    string
+	wal       wal.Options
+}
 
 // Estimation methods accepted by WithMethod. MethodQuickSel is the paper's
 // method and the default; the others are the baselines of the paper's
@@ -44,46 +54,46 @@ func Methods() []string { return estimator.Methods() }
 // default is MethodQuickSel; an unknown name fails New with an error that
 // lists the valid methods.
 func WithMethod(method string) Option {
-	return func(c *estimator.Config) { c.Method = method }
+	return func(s *settings) { s.model.Method = method }
 }
 
 // WithSeed fixes the pseudo-random seed used for subpopulation generation
 // (and the scan-backed methods' synthetic rows), making the model fully
 // deterministic.
 func WithSeed(seed int64) Option {
-	return func(c *estimator.Config) { c.Seed = seed }
+	return func(s *settings) { s.model.Seed = seed }
 }
 
 // WithMaxSubpopulations caps the number of mixture components. The paper's
 // default is 4,000 (§3.3, footnote 9). QuickSel method only.
 func WithMaxSubpopulations(m int) Option {
-	return func(c *estimator.Config) { c.MaxSubpops = m }
+	return func(s *settings) { s.model.MaxSubpops = m }
 }
 
 // WithSubpopsPerQuery sets how many mixture components are budgeted per
 // observed query before the cap applies. The paper's default is 4.
 // QuickSel method only.
 func WithSubpopsPerQuery(k int) Option {
-	return func(c *estimator.Config) { c.SubpopsPerQuery = k }
+	return func(s *settings) { s.model.SubpopsPerQuery = k }
 }
 
 // WithFixedSubpopulations pins the number of mixture components regardless
 // of how many queries have been observed (the mode of Figure 7c).
 // QuickSel method only.
 func WithFixedSubpopulations(m int) Option {
-	return func(c *estimator.Config) { c.FixedSubpops = m }
+	return func(s *settings) { s.model.FixedSubpops = m }
 }
 
 // WithPointsPerPredicate sets the number of workload-aware points sampled
 // inside each observed predicate (paper default: 10). QuickSel method only.
 func WithPointsPerPredicate(k int) Option {
-	return func(c *estimator.Config) { c.PointsPerPredicate = k }
+	return func(s *settings) { s.model.PointsPerPredicate = k }
 }
 
 // WithLambda sets the consistency-penalty weight of Problem 3 (paper
 // default: 1e6). QuickSel method only.
 func WithLambda(lambda float64) Option {
-	return func(c *estimator.Config) { c.Lambda = lambda }
+	return func(s *settings) { s.model.Lambda = lambda }
 }
 
 // WithIterativeSolver switches training from the analytic closed form to a
@@ -92,7 +102,7 @@ func WithLambda(lambda float64) Option {
 // exists for comparison and for callers that need w >= 0 exactly.
 // QuickSel method only.
 func WithIterativeSolver() Option {
-	return func(c *estimator.Config) { c.UseIterativeSolver = true }
+	return func(s *settings) { s.model.UseIterativeSolver = true }
 }
 
 // WithWorkers bounds the goroutines used by the parallel training kernels
@@ -102,7 +112,7 @@ func WithIterativeSolver() Option {
 // training wall clock without affecting estimates or snapshots.
 // QuickSel method only.
 func WithWorkers(n int) Option {
-	return func(c *estimator.Config) { c.Workers = n }
+	return func(s *settings) { s.model.Workers = n }
 }
 
 // WithWarmStart keeps the analytic solver's Cholesky factorization between
@@ -115,7 +125,7 @@ func WithWorkers(n int) Option {
 // rounding, not bit-for-bit. No effect with WithIterativeSolver.
 // QuickSel method only.
 func WithWarmStart() Option {
-	return func(c *estimator.Config) { c.WarmStart = true }
+	return func(s *settings) { s.model.WarmStart = true }
 }
 
 // WithMaxObservations caps the retained feedback history at n records using
@@ -126,7 +136,7 @@ func WithWarmStart() Option {
 // default) keeps the full history, the paper's behaviour. QuickSel method
 // only.
 func WithMaxObservations(n int) Option {
-	return func(c *estimator.Config) { c.MaxObservations = n }
+	return func(s *settings) { s.model.MaxObservations = n }
 }
 
 // WithMergeThreshold sets the Jaccard overlap in (0,1] above which the
@@ -134,24 +144,24 @@ func WithMaxObservations(n int) Option {
 // values merge more aggressively, trading accuracy for a smaller history.
 // Only meaningful together with WithMaxObservations. QuickSel method only.
 func WithMergeThreshold(t float64) Option {
-	return func(c *estimator.Config) { c.MergeThreshold = t }
+	return func(s *settings) { s.model.MergeThreshold = t }
 }
 
 // WithMaxBuckets bounds the bucket tree (MethodSTHoles) or the disjoint
 // bucket partition (MethodIsomer, MethodMaxEnt). Fewer buckets mean less
 // memory and faster training at lower accuracy.
 func WithMaxBuckets(m int) Option {
-	return func(c *estimator.Config) { c.MaxBuckets = m }
+	return func(s *settings) { s.model.MaxBuckets = m }
 }
 
 // WithSampleSize sets the row budget of MethodSample (default 1000).
 func WithSampleSize(n int) Option {
-	return func(c *estimator.Config) { c.SampleSize = n }
+	return func(s *settings) { s.model.SampleSize = n }
 }
 
 // WithGridBuckets sets the cell budget of MethodScanHist (default 1000).
 func WithGridBuckets(n int) Option {
-	return func(c *estimator.Config) { c.GridBuckets = n }
+	return func(s *settings) { s.model.GridBuckets = n }
 }
 
 // WithRowsPerObservation sets how many synthetic rows the scan-backed
@@ -159,7 +169,7 @@ func WithGridBuckets(n int) Option {
 // (default 128). More rows track feedback more faithfully at higher
 // memory and refresh cost.
 func WithRowsPerObservation(n int) Option {
-	return func(c *estimator.Config) { c.RowsPerObservation = n }
+	return func(s *settings) { s.model.RowsPerObservation = n }
 }
 
 // Retrain policies accepted by WithRetrainPolicy. They control how the
@@ -186,7 +196,7 @@ func Policies() []string { return lifecycle.Policies() }
 // lifecycle configuration but does not change Train, which remains
 // synchronous and unconditional.
 func WithRetrainPolicy(policy string) Option {
-	return func(c *estimator.Config) { c.Lifecycle.Policy = lifecycle.Policy(policy) }
+	return func(s *settings) { s.lifecycle.Policy = lifecycle.Policy(policy) }
 }
 
 // WithDriftThreshold sets the Page–Hinkley alarm threshold λ of the
@@ -196,7 +206,7 @@ func WithRetrainPolicy(policy string) Option {
 // an immediate retrain. Lower values are more sensitive. Pass a negative
 // value to disable drift detection.
 func WithDriftThreshold(lambda float64) Option {
-	return func(c *estimator.Config) { c.Lifecycle.DriftThreshold = lambda }
+	return func(s *settings) { s.lifecycle.DriftThreshold = lambda }
 }
 
 // WithAccuracyWindow sets the capacity of the rolling realized-accuracy
@@ -206,7 +216,7 @@ func WithDriftThreshold(lambda float64) Option {
 // model has an unfitted batch pending are not sampled, so tracking never
 // forces a refit on the observe path.
 func WithAccuracyWindow(n int) Option {
-	return func(c *estimator.Config) { c.Lifecycle.Window = n }
+	return func(s *settings) { s.lifecycle.Window = n }
 }
 
 // WithVersionHistory bounds how many archived model versions (previous
@@ -214,7 +224,7 @@ func WithAccuracyWindow(n int) Option {
 // estimator (default 4). Larger histories allow deeper rollback at the
 // memory cost of one full model snapshot per version.
 func WithVersionHistory(n int) Option {
-	return func(c *estimator.Config) { c.Lifecycle.History = n }
+	return func(s *settings) { s.lifecycle.History = n }
 }
 
 // Write-ahead-log fsync policies accepted by WithWALFsync; see the
@@ -240,19 +250,19 @@ const (
 // The same durability for the serving daemon is configured with quickseld's
 // -wal-dir flag instead.
 func WithWAL(dir string) Option {
-	return func(c *estimator.Config) { c.WAL.Dir = dir }
+	return func(s *settings) { s.walDir = dir }
 }
 
 // WithWALFsync selects the log's fsync policy: WALFsyncAlways,
 // WALFsyncInterval (default), or WALFsyncNever. An unknown name fails New
 // with an error listing the valid policies.
 func WithWALFsync(policy string) Option {
-	return func(c *estimator.Config) { c.WAL.Sync = policy }
+	return func(s *settings) { s.wal.Sync = wal.Policy(policy) }
 }
 
 // WithWALSegmentSize sets the log's segment rotation threshold in bytes
 // (default 64 MiB). Smaller segments compact at a finer grain after a
 // checkpoint; larger ones mean fewer files.
 func WithWALSegmentSize(bytes int64) Option {
-	return func(c *estimator.Config) { c.WAL.SegmentSize = bytes }
+	return func(s *settings) { s.wal.SegmentSize = bytes }
 }

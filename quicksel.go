@@ -128,27 +128,28 @@ func New(schema *Schema, opts ...Option) (*Estimator, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, fmt.Errorf("quicksel: %w", err)
 	}
-	cfg := estimator.Config{Dim: schema.Dim()}
+	var cfg settings
+	cfg.model.Dim = schema.Dim()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if _, err := lifecycle.ParsePolicy(string(cfg.Lifecycle.Policy)); err != nil {
+	if _, err := lifecycle.ParsePolicy(string(cfg.lifecycle.Policy)); err != nil {
 		return nil, fmt.Errorf("quicksel: %w", err)
 	}
-	b, err := estimator.New(cfg)
+	b, err := estimator.New(cfg.model)
 	if err != nil {
 		return nil, err
 	}
 	e := &Estimator{
 		schema:  schema,
 		backend: b,
-		life:    cfg.Lifecycle,
-		tracker: lifecycle.NewTracker(cfg.Lifecycle),
+		life:    cfg.lifecycle,
+		tracker: lifecycle.NewTracker(cfg.lifecycle),
 	}
-	if cfg.WAL.Dir != "" {
+	if cfg.walDir != "" {
 		// A pre-existing log replays in full: New with the same WithWAL
 		// directory is the restart path for embedders that never snapshot.
-		if err := e.attachWAL(cfg.WAL, 0, true); err != nil {
+		if err := e.attachWAL(cfg.walDir, cfg.wal, 0, true); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package quicksel
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,8 +40,11 @@ func TestNewRejectsInvalidSchema(t *testing.T) {
 }
 
 func TestNewRejectsBadOptions(t *testing.T) {
-	if _, err := New(testSchema(t), WithLambda(-3)); err == nil {
-		t.Fatal("expected error for negative lambda")
+	for _, lambda := range []float64{-3, math.NaN(), math.Inf(1)} {
+		_, err := New(testSchema(t), WithLambda(lambda))
+		if err == nil || !strings.Contains(err.Error(), "Lambda") {
+			t.Errorf("WithLambda(%g): error %v, want one naming Lambda", lambda, err)
+		}
 	}
 }
 

@@ -168,12 +168,12 @@ func restore(s *Snapshot, track bool, opts []Option) (*Estimator, error) {
 	if track {
 		e.tracker = lifecycle.RestoreTracker(lcfg, tstate)
 	}
-	var cfg estimator.Config
+	var cfg settings
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.WAL.Dir != "" {
-		if err := e.attachWAL(cfg.WAL, s.WalSeq, false); err != nil {
+	if cfg.walDir != "" {
+		if err := e.attachWAL(cfg.walDir, cfg.wal, s.WalSeq, false); err != nil {
 			return nil, err
 		}
 	}

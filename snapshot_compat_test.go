@@ -1,6 +1,7 @@
 package quicksel_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -181,5 +182,36 @@ func TestSnapshotV5CoresetFieldsRoundTrip(t *testing.T) {
 		if re.Model.Observations[i].Weight != o.Weight {
 			t.Errorf("observation %d weight = %v, want %v", i, re.Model.Observations[i].Weight, o.Weight)
 		}
+	}
+}
+
+// TestSnapshotRoundTripBytes decodes every committed testdata/roundtrip
+// snapshot — one per method, plus QuickSel with warm start and a coreset
+// and with the iterative solver — and requires EncodeSnapshot to write the
+// file back byte for byte. The files were written by an older build, so a
+// change to any persisted name, field order, omitempty rule or number
+// encoding fails here even when the restored estimates would still match.
+func TestSnapshotRoundTripBytes(t *testing.T) {
+	for _, name := range []string{
+		"quicksel", "quicksel_warm", "quicksel_iterative",
+		"sthole", "isomer", "maxent", "sample", "scanhist",
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "roundtrip", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := quicksel.DecodeSnapshot(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := est.EncodeSnapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("re-encoded %s differs from the committed bytes:\n%s", name, got.Bytes())
+			}
+		})
 	}
 }

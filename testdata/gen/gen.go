@@ -9,16 +9,28 @@
 // old-version fixtures byte-identical; the version-aware downgrade below
 // strips every field the old format did not carry.
 //
+// It also writes the round-trip fixtures: one encoded current-format
+// snapshot per method (testdata/roundtrip) and one registry snapshot file
+// saved with a write-ahead log (internal/server/testdata/registry_wal.json).
+// Their tests decode and re-encode them and require the same bytes, so they
+// pin the persisted form itself rather than the estimates it restores. The
+// registry file carries wall-clock version timestamps; those are the only
+// bytes a regeneration changes.
+//
 // Run from the repository root: go run ./testdata/gen
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
+	"time"
 
 	"quicksel"
+	"quicksel/internal/server"
 )
 
 // probe is one WHERE clause with the estimate frozen at generation time.
@@ -50,11 +62,27 @@ var probeWheres = []string{
 	"age < 30 AND salary >= 100000",
 }
 
-func buildEstimator(method string, seed int64) (*quicksel.Estimator, error) {
-	schema, err := quicksel.NewSchema(
+func fixtureSchema() (*quicksel.Schema, error) {
+	return quicksel.NewSchema(
 		quicksel.Column{Name: "age", Kind: quicksel.Integer, Min: 18, Max: 90},
 		quicksel.Column{Name: "salary", Kind: quicksel.Real, Min: 0, Max: 300_000},
 	)
+}
+
+// fixtureObservations is the feedback every fixture estimator absorbs.
+var fixtureObservations = []struct {
+	where string
+	sel   float64
+}{
+	{"age BETWEEN 18 AND 29", 0.22},
+	{"age BETWEEN 30 AND 49", 0.41},
+	{"salary >= 100000", 0.18},
+	{"age BETWEEN 30 AND 49 AND salary >= 100000", 0.12},
+	{"salary < 40000", 0.35},
+}
+
+func buildEstimator(method string, seed int64, extra ...quicksel.Option) (*quicksel.Estimator, error) {
+	schema, err := fixtureSchema()
 	if err != nil {
 		return nil, err
 	}
@@ -62,21 +90,11 @@ func buildEstimator(method string, seed int64) (*quicksel.Estimator, error) {
 	if method != "" {
 		opts = append(opts, quicksel.WithMethod(method))
 	}
-	est, err := quicksel.New(schema, opts...)
+	est, err := quicksel.New(schema, append(opts, extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	obs := []struct {
-		where string
-		sel   float64
-	}{
-		{"age BETWEEN 18 AND 29", 0.22},
-		{"age BETWEEN 30 AND 49", 0.41},
-		{"salary >= 100000", 0.18},
-		{"age BETWEEN 30 AND 49 AND salary >= 100000", 0.12},
-		{"salary < 40000", 0.35},
-	}
-	for _, o := range obs {
+	for _, o := range fixtureObservations {
 		if err := est.ObserveWhere(o.where, o.sel); err != nil {
 			return nil, err
 		}
@@ -91,10 +109,7 @@ func buildEstimator(method string, seed int64) (*quicksel.Estimator, error) {
 // observation coreset small enough that the near-duplicate observations
 // below merge (Jaccard 1) into weighted records.
 func buildWarmEstimator(seed int64) (*quicksel.Estimator, error) {
-	schema, err := quicksel.NewSchema(
-		quicksel.Column{Name: "age", Kind: quicksel.Integer, Min: 18, Max: 90},
-		quicksel.Column{Name: "salary", Kind: quicksel.Real, Min: 0, Max: 300_000},
-	)
+	schema, err := fixtureSchema()
 	if err != nil {
 		return nil, err
 	}
@@ -330,5 +345,98 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
+	if err := writeRoundTripFixtures(warm); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("fixtures regenerated")
+}
+
+// writeRoundTripFixtures writes testdata/roundtrip/<name>.json, each the
+// EncodeSnapshot output of one trained estimator, and the registry file.
+func writeRoundTripFixtures(warm *quicksel.Estimator) error {
+	builds := []struct {
+		name   string
+		method string
+		extra  []quicksel.Option
+	}{
+		{"quicksel", quicksel.MethodQuickSel, nil},
+		{"quicksel_iterative", quicksel.MethodQuickSel, []quicksel.Option{quicksel.WithIterativeSolver()}},
+		{"sthole", quicksel.MethodSTHoles, nil},
+		{"isomer", quicksel.MethodIsomer, nil},
+		{"maxent", quicksel.MethodMaxEnt, nil},
+		{"sample", quicksel.MethodSample, nil},
+		{"scanhist", quicksel.MethodScanHist, nil},
+	}
+	ests := map[string]*quicksel.Estimator{"quicksel_warm": warm}
+	for _, b := range builds {
+		est, err := buildEstimator(b.method, 17, b.extra...)
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.name, err)
+		}
+		ests[b.name] = est
+	}
+	if err := os.MkdirAll("testdata/roundtrip", 0o755); err != nil {
+		return err
+	}
+	for name, est := range ests {
+		var buf bytes.Buffer
+		if err := est.EncodeSnapshot(&buf); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata/roundtrip", name+".json"), buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return writeRegistryWALFixture()
+}
+
+// writeRegistryWALFixture runs a registry with a write-ahead log over one
+// quicksel and one sthole estimator and copies the snapshot file its Close
+// writes, which carries the log watermarks.
+func writeRegistryWALFixture() error {
+	dir, err := os.MkdirTemp("", "quicksel-gen-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "state.json")
+	reg, err := server.NewRegistry(server.Config{
+		SnapshotPath:  path,
+		WALDir:        filepath.Join(dir, "wal"),
+		TrainInterval: time.Hour, // train only where this function says so
+	})
+	if err != nil {
+		return err
+	}
+	schema, err := fixtureSchema()
+	if err != nil {
+		return err
+	}
+	for _, e := range []struct {
+		name string
+		opts []quicksel.Option
+	}{
+		{"people", []quicksel.Option{quicksel.WithSeed(19)}},
+		{"people_h", []quicksel.Option{quicksel.WithSeed(19), quicksel.WithMethod(quicksel.MethodSTHoles)}},
+	} {
+		if err := reg.Create(e.name, schema, e.opts...); err != nil {
+			return err
+		}
+		for _, o := range fixtureObservations {
+			if _, _, err := reg.Observe(e.name, o.where, o.sel); err != nil {
+				return err
+			}
+		}
+		if err := reg.Train(e.name); err != nil {
+			return err
+		}
+	}
+	if err := reg.Close(); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile("internal/server/testdata/registry_wal.json", data, 0o644)
 }
