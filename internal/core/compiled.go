@@ -18,10 +18,8 @@ type compiledModel struct {
 }
 
 // compile builds the serving form from trained subpopulations and weights.
-// It returns nil when nothing carries weight (the estimate is then 0, or
-// the uniform prior when there are no subpopulations at all — the caller
-// distinguishes the two by len(subpops)).
-func compile(subpops []geom.Box, weights []float64) *compiledModel {
+// It returns nil when nothing carries weight (the estimate is then 0).
+func compile(subpops *geom.BoxSet, weights []float64) *compiledModel {
 	nz := 0
 	for _, w := range weights {
 		if w != 0 {
@@ -32,25 +30,26 @@ func compile(subpops []geom.Box, weights []float64) *compiledModel {
 		return nil
 	}
 	c := &compiledModel{
-		boxes:  geom.NewBoxSet(subpops[0].Dim(), nz),
+		boxes:  geom.NewBoxSet(subpops.Dim(), nz),
 		wOverV: make([]float64, 0, nz),
 	}
 	for j, w := range weights {
 		if w == 0 {
 			continue
 		}
-		c.boxes.Append(subpops[j])
-		c.wOverV = append(c.wOverV, w/subpops[j].Volume())
+		c.boxes.Append(subpops.Box(j))
+		c.wOverV = append(c.wOverV, w/subpops.Volume(j))
 	}
 	return c
 }
 
-// estimate returns Σ_j (w_j/|G_j|)·|B ∩ G_j| for the clipped query corners.
-// The caller clamps the result to [0, 1].
-func (c *compiledModel) estimate(qlo, qhi []float64) float64 {
+// estimate returns Σ_j (w_j/|G_j|)·|B ∩ G_j| for the query corners, which
+// need no clip to the unit cube because every G_j lies inside it. The caller
+// clamps the result to [0, 1].
+func (c *compiledModel) estimate(lo, hi []float64) float64 {
 	var est float64
 	for j, wv := range c.wOverV {
-		est += wv * c.boxes.CornersIntersectionVolume(j, qlo, qhi)
+		est += wv * c.boxes.CornersIntersectionVolume(j, lo, hi)
 	}
 	return est
 }

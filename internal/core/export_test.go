@@ -13,11 +13,12 @@ import (
 // against: an incremental retrain must reproduce this solve (same frozen
 // subpopulations, same history) to solver rounding.
 func (m *Model) TrainFrozenForTest() ([]float64, error) {
-	if len(m.subpops) == 0 {
+	if m.subpops == nil {
 		return nil, fmt.Errorf("core: no subpopulations to freeze")
 	}
 	q, a, s := m.assemble()
-	return qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: m.cfg.Lambda, Workers: m.cfg.Workers})
+	w, _, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: m.cfg.Lambda, Workers: m.cfg.Workers})
+	return w, err
 }
 
 // CorruptWarmForTest queues a downdate of a heavy row that was never part of

@@ -116,7 +116,7 @@ func (g *GaussianModel) Train() error {
 			a.Set(i+1, j, g.boxMass(j, o.box))
 		}
 	}
-	w, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: g.umm.cfg.Lambda})
+	w, _, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: g.umm.cfg.Lambda})
 	if err != nil {
 		return fmt.Errorf("core: gaussian training: %w", err)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"quicksel/internal/geom"
@@ -147,6 +149,139 @@ func TestEstimateAllocationFree(t *testing.T) {
 	}
 }
 
+// Estimate scans the raw query corners. The reference below is the clip to
+// the unit cube followed by the scan (on the uniform prior, the clipped
+// box's volume), and the two agree bit for bit on corners outside [0, 1],
+// inverted sides, signed zeros and infinities, because every subpopulation
+// lies inside the unit cube. The one exception is a lower corner of +Inf
+// on the uniform prior: the clipped side is Inf − Inf = NaN, while the raw
+// side is −Inf and the estimate 0.
+func TestEstimateMatchesClipThenScan(t *testing.T) {
+	const boxes = 20000
+	special := []float64{math.Inf(-1), -0.5, math.Copysign(0, -1), 0, 0.5, 1, 1.5, math.Inf(1)}
+	for _, d := range []int{1, 2, 3, 8} {
+		uniform := mustModel(t, Config{Dim: d, Seed: 3})
+		trained := mustModel(t, Config{Dim: d, Seed: 3})
+		observeWorkload(t, trained, int64(d), 40)
+		if err := trained.Train(); err != nil {
+			t.Fatal(err)
+		}
+		unit := geom.Unit(d)
+		rng := rand.New(rand.NewSource(int64(d)))
+		pick := func(v float64) float64 {
+			if rng.Intn(8) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return v
+		}
+		var positive, infLo int
+		for i := 0; i < boxes; i++ {
+			lo := make([]float64, d)
+			hi := make([]float64, d)
+			for k := range lo {
+				l := rng.Float64()*1.3 - 0.3
+				lo[k], hi[k] = pick(l), pick(l+rng.Float64()*1.2-0.1) // about one side in 12 inverted
+			}
+			box := geom.NewBox(lo, hi)
+			clipped := box.Clip(unit)
+
+			want := clipped.Volume()
+			if math.IsNaN(want) {
+				hasInfLo := false
+				for _, v := range lo {
+					hasInfLo = hasInfLo || math.IsInf(v, 1)
+				}
+				if !hasInfLo {
+					t.Fatalf("d=%d box %v: reference NaN without a +Inf lower corner", d, box)
+				}
+				want = 0
+				infLo++
+			}
+			got, err := uniform.Estimate(box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d box %v: uniform estimate %v, clip-then-scan %v", d, box, got, want)
+			}
+
+			want = 0
+			if trained.compiled != nil {
+				want = trained.compiled.estimate(clipped.Lo, clipped.Hi)
+			}
+			if want < 0 {
+				want = 0
+			}
+			if want > 1 {
+				want = 1
+			}
+			if got, err = trained.Estimate(box); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d box %v: trained estimate %v, clip-then-scan %v", d, box, got, want)
+			}
+			if got > 0 {
+				positive++
+			}
+		}
+		t.Logf("d=%d: %d of %d boxes with a positive trained estimate, %d uniform-prior boxes with a +Inf lower corner", d, positive, boxes, infLo)
+		if positive < boxes/20 {
+			t.Fatalf("d=%d: only %d boxes overlap the trained mixture", d, positive)
+		}
+	}
+}
+
+// A trained Model's Estimate and EstimateUnion write nothing, so readers
+// may share it: four goroutines get the serial answers bit for bit. Run
+// under -race.
+func TestConcurrentEstimatesMatchSerial(t *testing.T) {
+	m := mustModel(t, Config{Dim: 3, Seed: 21})
+	observeWorkload(t, m, 77, 40)
+	if err := m.Train(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	boxes := make([]geom.Box, 200)
+	for i := range boxes {
+		boxes[i] = randBox(rng, 3)
+	}
+	read := func(i int) (est, union float64, err error) {
+		if est, err = m.Estimate(boxes[i]); err != nil {
+			return 0, 0, err
+		}
+		union, err = m.EstimateUnion(boxes[i : i+2])
+		return est, union, err
+	}
+	wantEst := make([]float64, len(boxes)-1)
+	wantUnion := make([]float64, len(boxes)-1)
+	for i := range wantEst {
+		var err error
+		if wantEst[i], wantUnion[i], err = read(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range wantEst {
+				est, union, err := read(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(est) != math.Float64bits(wantEst[i]) || math.Float64bits(union) != math.Float64bits(wantUnion[i]) {
+					t.Errorf("box %d: concurrent (%v, %v), serial (%v, %v)", i, est, union, wantEst[i], wantUnion[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Pruned compilation: zero weights contribute nothing and the pruned fast
 // path agrees with a direct evaluation of the mixture formula.
 func TestCompiledModelMatchesDirectEvaluation(t *testing.T) {
@@ -172,7 +307,7 @@ func TestCompiledModelMatchesDirectEvaluation(t *testing.T) {
 		}
 		b := box.Clip(m.unit)
 		var want float64
-		for j, g := range m.subpops {
+		for j, g := range m.Subpopulations() {
 			w := m.weights[j]
 			if w == 0 {
 				continue

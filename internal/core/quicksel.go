@@ -148,7 +148,9 @@ type observation struct {
 
 // Model is QuickSel's trainable uniform mixture model. It is not safe for
 // concurrent mutation; wrap with the public quicksel.Estimator for a
-// synchronized facade.
+// synchronized facade. Once trained, Estimate and EstimateUnion write
+// nothing, so goroutines may call them concurrently while none mutates the
+// model.
 type Model struct {
 	cfg  Config
 	rng  *rand.Rand
@@ -165,8 +167,13 @@ type Model struct {
 
 	observations []observation
 
-	// Trained state.
-	subpops []geom.Box
+	// Trained state. subpops holds the subpopulations G_j of the last full
+	// train and invVol their reciprocal volumes 1/|G_j|, one per G_j; both
+	// are built once per full train, read by assembly, warm-start rows,
+	// compile and Snapshot, and never mutated afterwards, so Clone shares
+	// them. A nil subpops is the uniform prior.
+	subpops *geom.BoxSet
+	invVol  []float64
 	weights []float64
 	trained bool
 
@@ -175,25 +182,17 @@ type Model struct {
 	// nil when untrained, uniform, or all-zero-weight.
 	compiled *compiledModel
 
-	// qlo/qhi are reusable clipped-query corners so Estimate allocates
-	// nothing. The Model is single-goroutine by contract (the public
-	// Estimator's mutex serializes access), so one scratch pair suffices.
-	qlo, qhi []float64
-
 	// Diagnostics for the experiment drivers.
 	lastIters     int    // iterations of the iterative solver (0 for analytic)
 	lastTrainMode string // TrainModeFull or TrainModeIncremental; "" before first Train
 
 	// Warm-start state (Config.WarmStart): the solver factorization of the
-	// last full train, the subpopulation SoA + reciprocal volumes needed to
-	// rebuild constraint rows, the count of observations already folded into
-	// the factorization (a prefix of m.observations), and the pending
-	// remove/add edits the coreset recorded against that prefix. All nil/0
-	// when warm-start is off or no full train has happened; snapshots do not
+	// last full train, the count of observations already folded into the
+	// factorization (a prefix of m.observations), and the pending remove/add
+	// edits the coreset recorded against that prefix. warm is nil when
+	// warm-start is off or no full train has happened; snapshots do not
 	// carry this state, so a restored model's first retrain is full.
 	warm       *qp.WarmState
-	warmSet    *geom.BoxSet
-	warmInvVol []float64
 	warmObs    int
 	warmDeltas []warmDelta
 }
@@ -251,8 +250,6 @@ func newModel(cfg Config, draws uint64) *Model {
 		rng:  rand.New(src),
 		src:  src,
 		unit: geom.Unit(cfg.Dim),
-		qlo:  make([]float64, cfg.Dim),
-		qhi:  make([]float64, cfg.Dim),
 	}
 }
 
@@ -279,9 +276,9 @@ func (m *Model) Weights() []float64 {
 
 // Subpopulations returns a copy of the trained subpopulation boxes.
 func (m *Model) Subpopulations() []geom.Box {
-	out := make([]geom.Box, len(m.subpops))
-	for i, b := range m.subpops {
-		out[i] = b.Clone()
+	out := make([]geom.Box, len(m.invVol))
+	for i := range out {
+		out[i] = m.subpops.Box(i)
 	}
 	return out
 }
@@ -351,75 +348,65 @@ func (m *Model) targetSubpops() int {
 // from scratch. Training with zero observations resets the model to the
 // uniform prior.
 func (m *Model) Train() error {
-	if m.warmEligible() {
-		if err := m.trainIncremental(); err == nil {
-			return nil
-		}
-		// Any incremental failure (a downdate that lost definiteness, a
-		// non-finite solve) invalidates the warm state; the full path below
-		// rebuilds everything from the observations, which remain intact.
-		m.clearWarm()
+	if m.warmEligible() && m.trainIncremental() == nil {
+		return nil
 	}
+	// An incremental failure (a downdate that lost definiteness, a
+	// non-finite solve) leaves the warm state stale; the full path drops it
+	// and rebuilds everything from the observations, which remain intact.
 	return m.trainFull()
 }
 
 // trainFull is the cold path: regenerate subpopulations, assemble, solve.
 func (m *Model) trainFull() error {
-	n := len(m.observations)
-	if n == 0 {
-		m.subpops, m.weights, m.compiled = nil, nil, nil
-		m.trained = true
-		m.lastIters = 0
-		m.lastTrainMode = TrainModeFull
-		m.clearWarm()
-		return nil
+	m.setWarm(nil) // a kept factorization belongs to the subpopulations replaced here
+	var centers [][]float64
+	if len(m.observations) > 0 {
+		centers = m.sampleCenters(m.targetSubpops())
 	}
-
-	centers := m.sampleCenters(m.targetSubpops())
 	if len(centers) == 0 {
-		// All observed predicates were empty boxes; fall back to uniform.
-		m.subpops, m.weights, m.compiled = nil, nil, nil
+		// No observations, or all observed predicates were empty boxes: the
+		// model is the uniform prior.
+		m.subpops, m.invVol, m.weights, m.compiled = nil, nil, nil, nil
 		m.trained = true
 		m.lastIters = 0
 		m.lastTrainMode = TrainModeFull
-		m.clearWarm()
 		return nil
 	}
-	m.subpops = m.sizeSubpopulations(centers)
+	m.setSubpops(m.sizeSubpopulations(centers))
 
 	q, a, s := m.assemble()
 	prob := &qp.Problem{Q: q, A: a, S: s, Lambda: m.cfg.Lambda, Workers: m.cfg.Workers}
-	switch {
-	case m.cfg.UseIterativeSolver:
+	if m.cfg.UseIterativeSolver {
 		res, err := qp.SolveIterative(prob, qp.IterativeOptions{Project: true})
 		if err != nil {
 			return fmt.Errorf("core: iterative training: %w", err)
 		}
-		m.weights = res.W
-		m.lastIters = res.Iters
-		m.clearWarm()
-	case m.cfg.WarmStart:
-		// Same solve as qp.SolveAnalytic (bit-identical weights), but keep
-		// the factorization for the next retrain.
-		w, ws, err := qp.SolveAnalyticWarm(prob)
+		m.weights, m.lastIters = res.W, res.Iters
+	} else {
+		w, ws, err := qp.SolveAnalytic(prob)
 		if err != nil {
 			return fmt.Errorf("core: analytic training: %w", err)
 		}
-		m.weights = w
-		m.lastIters = 0
-		m.setWarm(ws)
-	default:
-		w, err := qp.SolveAnalytic(prob)
-		if err != nil {
-			return fmt.Errorf("core: analytic training: %w", err)
+		m.weights, m.lastIters = w, 0
+		if m.cfg.WarmStart {
+			m.setWarm(ws)
 		}
-		m.weights = w
-		m.lastIters = 0
 	}
 	m.compiled = compile(m.subpops, m.weights)
 	m.trained = true
 	m.lastTrainMode = TrainModeFull
 	return nil
+}
+
+// setSubpops installs a trained subpopulation set and its reciprocal
+// volumes.
+func (m *Model) setSubpops(boxes []geom.Box) {
+	m.subpops = geom.BoxSetOf(boxes)
+	m.invVol = make([]float64, len(boxes))
+	for i := range m.invVol {
+		m.invVol[i] = 1 / m.subpops.Volume(i)
+	}
 }
 
 // sampleCenters pools the workload-aware points of all observations —
@@ -462,19 +449,15 @@ func (m *Model) sizeSubpopulations(centers [][]float64) []geom.Box {
 // (P0, 1) over the whole domain, guaranteeing Σ w ≈ 1; rows 1..n are the
 // observed queries.
 //
-// This is the O(m²·d) hot loop of training. The subpopulations are packed
-// into a flat SoA BoxSet once, and rows of Q and A are computed in parallel:
-// every matrix entry is an independent product, and each worker chunk writes
+// This is the O(m²·d) hot loop of training. It streams the subpopulations'
+// flat SoA BoxSet, and rows of Q and A are computed in parallel: every
+// matrix entry is an independent product, and each worker chunk writes
 // disjoint rows, so the assembled matrices are bit-identical for every
 // worker count.
 func (m *Model) assemble() (q, a *linalg.Matrix, s []float64) {
-	set := geom.BoxSetOf(m.subpops)
+	set, invVol := m.subpops, m.invVol
 	mm := set.Len()
 	workers := par.Workers(m.cfg.Workers)
-	invVol := make([]float64, mm)
-	for i := range invVol {
-		invVol[i] = 1 / set.Volume(i)
-	}
 	q = linalg.NewMatrix(mm, mm)
 	par.For(workers, mm, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -506,9 +489,7 @@ func (m *Model) assemble() (q, a *linalg.Matrix, s []float64) {
 			o := &m.observations[i]
 			s[i+1] = o.sel
 			row := a.Row(i + 1)
-			for j := 0; j < mm; j++ {
-				row[j] = set.CornersIntersectionVolume(j, o.box.Lo, o.box.Hi) * invVol[j]
-			}
+			m.constraintRowInto(row, o.box)
 			// A coreset-merged record stands for weight raw observations;
 			// scaling its row and selectivity by √weight makes the penalty
 			// term count it weight times (weighted least squares). The
@@ -536,12 +517,15 @@ func (m *Model) ensureTrained() error {
 
 // Estimate returns the model's selectivity estimate for a normalized box,
 // clamped to [0,1]. With no trained subpopulations the model is the uniform
-// prior, whose estimate is the box volume (|B|/|B0| with |B0| = 1). A box
-// with a NaN corner is an error, as it is for Observe.
+// prior, whose estimate is the volume of the box clipped to the unit cube
+// (|B|/|B0| with |B0| = 1). A box with a NaN corner is an error, as it is
+// for Observe.
 //
-// The hot path is allocation-free: the query box is clipped into the
-// model's reusable scratch corners and evaluated against the compiled
-// (pruned, pre-divided, SoA) form of the trained mixture.
+// The hot path is allocation-free and, on a trained model, writes nothing:
+// the raw query corners are evaluated against the compiled (pruned,
+// pre-divided, SoA) form of the trained mixture. No clip is needed because
+// every subpopulation lies inside the unit cube, so min and max against a
+// raw corner equal min and max against the clipped one.
 func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if box.Dim() != m.cfg.Dim {
 		return 0, fmt.Errorf("core: query box has dim %d, model has %d", box.Dim(), m.cfg.Dim)
@@ -552,14 +536,11 @@ func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if err := m.ensureTrained(); err != nil {
 		return 0, err
 	}
-	// Clip into the unit cube without the two per-call slice allocations.
-	d := m.cfg.Dim
-	box.ClipInto(m.unit, m.qlo, m.qhi)
-	if len(m.subpops) == 0 {
-		// Uniform prior: the estimate is the clipped box volume.
+	if m.subpops == nil {
+		// Uniform prior: the volume of the box clipped to the unit cube.
 		v := 1.0
-		for k := 0; k < d; k++ {
-			side := m.qhi[k] - m.qlo[k]
+		for k, lo := range box.Lo {
+			side := min(box.Hi[k], 1) - max(lo, 0)
 			if side <= 0 {
 				return 0, nil
 			}
@@ -569,7 +550,7 @@ func (m *Model) Estimate(box geom.Box) (float64, error) {
 	}
 	var est float64
 	if m.compiled != nil {
-		est = m.compiled.estimate(m.qlo, m.qhi)
+		est = m.compiled.estimate(box.Lo, box.Hi)
 	}
 	if est < 0 {
 		est = 0

@@ -89,13 +89,9 @@ func (m *Model) Snapshot() *Snapshot {
 		}
 		s.Observations[i] = so
 	}
-	if len(m.subpops) > 0 {
-		s.Subpops = make([]geom.Box, len(m.subpops))
-		for i, b := range m.subpops {
-			s.Subpops[i] = b.Clone()
-		}
-		s.Weights = make([]float64, len(m.weights))
-		copy(s.Weights, m.weights)
+	if m.subpops != nil {
+		s.Subpops = m.Subpopulations()
+		s.Weights = m.Weights()
 	}
 	return s
 }
@@ -184,9 +180,7 @@ func Restore(s *Snapshot) (*Model, error) {
 		}
 	}
 	if len(s.Subpops) > 0 {
-		m.subpops = make([]geom.Box, len(s.Subpops))
-		for i, sb := range s.Subpops {
-			box := sb.Clone()
+		for i, box := range s.Subpops {
 			if box.Dim() != cfg.Dim {
 				return nil, fmt.Errorf("core: snapshot subpopulation %d has dim %d, model has %d", i, box.Dim(), cfg.Dim)
 			}
@@ -196,8 +190,13 @@ func Restore(s *Snapshot) (*Model, error) {
 			if box.Volume() == 0 {
 				return nil, fmt.Errorf("core: snapshot subpopulation %d has zero volume", i)
 			}
-			m.subpops[i] = box
+			// Estimate scans raw query corners, which is exact only for
+			// subpopulations inside the unit cube; Train never makes others.
+			if !m.unit.ContainsBox(box) {
+				return nil, fmt.Errorf("core: snapshot subpopulation %d lies outside the unit cube", i)
+			}
 		}
+		m.setSubpops(s.Subpops)
 		m.weights = make([]float64, len(s.Weights))
 		for i, w := range s.Weights {
 			if math.IsNaN(w) || math.IsInf(w, 0) {
@@ -209,7 +208,7 @@ func Restore(s *Snapshot) (*Model, error) {
 	m.trained = s.Trained
 	// Rebuild the compiled serving form so a restored model estimates on the
 	// same allocation-free fast path as a freshly trained one.
-	if m.trained && len(m.subpops) > 0 {
+	if m.trained && m.subpops != nil {
 		m.compiled = compile(m.subpops, m.weights)
 	}
 	return m, nil

@@ -49,40 +49,25 @@ type warmDelta struct {
 // TrainModeIncremental or TrainModeFull ("" before the first Train).
 func (m *Model) TrainMode() string { return m.lastTrainMode }
 
-// setWarm installs a fresh warm state after a full analytic solve, caching
-// the subpopulation SoA and reciprocal volumes used to rebuild constraint
-// rows incrementally.
+// setWarm installs the factorization of a full analytic solve over every
+// current observation as the warm state; nil drops it, so the next Train
+// runs the full path.
 func (m *Model) setWarm(ws *qp.WarmState) {
-	m.warm = ws
-	m.warmSet = geom.BoxSetOf(m.subpops)
-	m.warmInvVol = make([]float64, len(m.subpops))
-	for i := range m.warmInvVol {
-		m.warmInvVol[i] = 1 / m.warmSet.Volume(i)
-	}
-	m.warmObs = len(m.observations)
-	m.warmDeltas = nil
-}
-
-// clearWarm drops the warm state; the next Train runs the full path.
-func (m *Model) clearWarm() {
-	m.warm = nil
-	m.warmSet = nil
-	m.warmInvVol = nil
-	m.warmObs = 0
-	m.warmDeltas = nil
+	m.warm, m.warmObs, m.warmDeltas = ws, len(m.observations), nil
 }
 
 // warmEligible reports whether the pending feedback can be folded into the
 // kept factorization instead of retraining from scratch.
 func (m *Model) warmEligible() bool {
-	if m.warm == nil || !m.cfg.WarmStart || m.cfg.UseIterativeSolver || len(m.subpops) == 0 {
+	if m.warm == nil || !m.cfg.WarmStart || m.cfg.UseIterativeSolver {
 		return false
 	}
 	// The factorization columns are the subpopulations; the incremental
 	// path requires the §3.3 budget to be exactly the frozen set (at the
 	// MaxSubpops cap, or FixedSubpops). A moving budget means Train must
 	// regenerate subpopulations, which is a full solve by construction.
-	if m.targetSubpops() != len(m.subpops) {
+	mm := len(m.invVol)
+	if m.targetSubpops() != mm {
 		return false
 	}
 	edits := len(m.warmDeltas) + (len(m.observations) - m.warmObs)
@@ -91,7 +76,6 @@ func (m *Model) warmEligible() bool {
 		// historical behaviour (resampled subpopulations) is the full path.
 		return false
 	}
-	mm := len(m.subpops)
 	if edits > mm/warmBatchDivisor {
 		return false
 	}
@@ -102,20 +86,20 @@ func (m *Model) warmEligible() bool {
 }
 
 // constraintRowInto writes the QP constraint row of box b — the fraction of
-// each subpopulation covered by b — into row. It reproduces assemble's
-// per-entry arithmetic exactly, so the row removed for an evicted
-// observation is bitwise the row a full assembly would have built for it.
+// each subpopulation covered by b — into row. Assembly and the incremental
+// path both build rows here, so the row removed for an evicted observation
+// is bitwise the row a full assembly built for it.
 func (m *Model) constraintRowInto(row []float64, b geom.Box) {
 	for j := range row {
-		row[j] = m.warmSet.CornersIntersectionVolume(j, b.Lo, b.Hi) * m.warmInvVol[j]
+		row[j] = m.subpops.CornersIntersectionVolume(j, b.Lo, b.Hi) * m.invVol[j]
 	}
 }
 
 // trainIncremental folds the pending coreset deltas and the new observation
 // suffix into the warm factorization and re-solves. On error the warm state
-// is stale; the caller clears it and falls back to the full path.
+// is stale; the caller falls back to the full path, which drops it.
 func (m *Model) trainIncremental() error {
-	row := make([]float64, len(m.subpops))
+	row := make([]float64, len(m.invVol))
 	for _, d := range m.warmDeltas {
 		m.constraintRowInto(row, d.box)
 		if d.add {
@@ -224,12 +208,15 @@ func (m *Model) evictObservation() {
 // clones the live model in process (instead of a snapshot round trip) so
 // the clone-train-swap cycle keeps retraining incrementally. The clone's
 // PRNG resumes the same deterministic stream position, so clone and
-// original behave bit-identically from here on.
+// original behave bit-identically from here on. The trained subpopulations,
+// their reciprocal volumes, the weights and the compiled form are never
+// mutated after a train, so the clone shares them.
 func (m *Model) Clone() *Model {
 	c := newModel(m.cfg, m.src.n)
 	c.defaultPoints = copyPoints(m.defaultPoints)
+	c.subpops, c.invVol, c.weights = m.subpops, m.invVol, m.weights
 	c.trained = m.trained
-	c.compiled = m.compiled // immutable after compile; safe to share
+	c.compiled = m.compiled
 	c.lastIters = m.lastIters
 	c.lastTrainMode = m.lastTrainMode
 	c.warmObs = m.warmObs
@@ -237,19 +224,8 @@ func (m *Model) Clone() *Model {
 	for i, o := range m.observations {
 		c.observations[i] = observation{box: o.box.Clone(), sel: o.sel, weight: o.weight, points: copyPoints(o.points)}
 	}
-	if len(m.subpops) > 0 {
-		c.subpops = make([]geom.Box, len(m.subpops))
-		for i, b := range m.subpops {
-			c.subpops[i] = b.Clone()
-		}
-		c.weights = append([]float64(nil), m.weights...)
-	}
 	if m.warm != nil {
 		c.warm = m.warm.Clone()
-		// The SoA set and reciprocal volumes are never mutated after setWarm;
-		// sharing them keeps Clone O(m²) (the factor copy) instead of O(m²·d).
-		c.warmSet = m.warmSet
-		c.warmInvVol = m.warmInvVol
 	}
 	if len(m.warmDeltas) > 0 {
 		c.warmDeltas = make([]warmDelta, len(m.warmDeltas))

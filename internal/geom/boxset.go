@@ -99,22 +99,6 @@ func UnionVolume(boxes []Box) float64 {
 	return v
 }
 
-// UnionIntersectionVolume returns |(∪ as) ∩ (∪ bs)| exactly. Used to compute
-// intersection sizes between predicates in disjunctive normal form (§2.2:
-// "converting Pi ∧ Pj into a disjunctive normal form and then using the
-// inclusion-exclusion principle").
-func UnionIntersectionVolume(as, bs []Box) float64 {
-	var pairwise []Box
-	for _, a := range as {
-		for _, b := range bs {
-			if inter, ok := a.Intersect(b); ok {
-				pairwise = append(pairwise, inter)
-			}
-		}
-	}
-	return UnionVolume(pairwise)
-}
-
 // CoversPoint reports whether any box in the set contains p.
 func CoversPoint(boxes []Box, p []float64) bool {
 	for _, b := range boxes {

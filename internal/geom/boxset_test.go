@@ -104,21 +104,6 @@ func TestUnionVolumeIdenticalBoxes(t *testing.T) {
 	}
 }
 
-func TestUnionIntersectionVolume(t *testing.T) {
-	as := []Box{NewBox([]float64{0, 0}, []float64{1, 1})}
-	bs := []Box{
-		NewBox([]float64{0.5, 0}, []float64{2, 1}), // overlaps right half: 0.5
-		NewBox([]float64{0, 0.5}, []float64{1, 2}), // overlaps top half: 0.5
-	}
-	// Intersection of union: right half ∪ top half of the unit square = 0.75.
-	if got := UnionIntersectionVolume(as, bs); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("UnionIntersectionVolume = %g, want 0.75", got)
-	}
-	if got := UnionIntersectionVolume(nil, bs); got != 0 {
-		t.Errorf("empty lhs should give 0, got %g", got)
-	}
-}
-
 func TestCoversPoint(t *testing.T) {
 	boxes := []Box{
 		NewBox([]float64{0, 0}, []float64{0.5, 0.5}),

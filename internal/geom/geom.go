@@ -241,15 +241,6 @@ func (b Box) Jaccard(other Box) float64 {
 func (b Box) Clip(bounds Box) Box {
 	lo := make([]float64, len(b.Lo))
 	hi := make([]float64, len(b.Hi))
-	b.ClipInto(bounds, lo, hi)
-	return Box{Lo: lo, Hi: hi}
-}
-
-// ClipInto writes the corners of b clipped to bounds into lo and hi (each of
-// length Dim). It is Clip without the two slice allocations — the serving
-// hot path clips every query box into reusable scratch corners — and the
-// single source of the clamp semantics Clip exposes.
-func (b Box) ClipInto(bounds Box, lo, hi []float64) {
 	for i := range b.Lo {
 		l, h := b.Lo[i], b.Hi[i]
 		if l < bounds.Lo[i] {
@@ -262,16 +253,6 @@ func (b Box) ClipInto(bounds Box, lo, hi []float64) {
 			h = l
 		}
 		lo[i], hi[i] = l, h
-	}
-}
-
-// BoundingBox returns the smallest box containing both arguments.
-func (b Box) BoundingBox(other Box) Box {
-	lo := make([]float64, b.Dim())
-	hi := make([]float64, b.Dim())
-	for i := range lo {
-		lo[i] = math.Min(b.Lo[i], other.Lo[i])
-		hi[i] = math.Max(b.Hi[i], other.Hi[i])
 	}
 	return Box{Lo: lo, Hi: hi}
 }
@@ -301,11 +282,6 @@ func SquaredDistance(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Distance returns the Euclidean distance between two points.
-func Distance(a, b []float64) float64 {
-	return math.Sqrt(SquaredDistance(a, b))
 }
 
 // CenteredBox returns the box of the given per-dimension half-widths around

@@ -171,16 +171,6 @@ func TestCenterAndSide(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	a := NewBox([]float64{0, 0}, []float64{1, 1})
-	b := NewBox([]float64{2, -1}, []float64{3, 0.5})
-	got := a.BoundingBox(b)
-	want := NewBox([]float64{0, -1}, []float64{3, 1})
-	if !got.Equal(want) {
-		t.Errorf("BoundingBox = %v, want %v", got, want)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := NewBox([]float64{0}, []float64{1})
 	c := a.Clone()
@@ -190,16 +180,16 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestDistance(t *testing.T) {
-	if d := Distance([]float64{0, 0}, []float64{3, 4}); d != 5 {
-		t.Errorf("Distance = %g, want 5", d)
+func TestSquaredDistance(t *testing.T) {
+	if d := SquaredDistance([]float64{0, 0}, []float64{3, 4}); d != 25 {
+		t.Errorf("SquaredDistance = %g, want 25", d)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	Distance([]float64{0}, []float64{1, 2})
+	SquaredDistance([]float64{0}, []float64{1, 2})
 }
 
 func TestCenteredBox(t *testing.T) {

@@ -103,7 +103,7 @@ func (s *BoxSet) IntersectionVolume(i, j int) float64 {
 
 // CornersIntersectionVolume returns the intersection volume of box i with
 // the box given by raw corner slices (len dim each). This is the serving
-// kernel: the query box arrives as two scratch slices, never as a Box.
+// kernel: the query box arrives as its two corner slices, never as a Box.
 //
 // The builtin min and max compile to branch-free instructions, where a
 // compare and branch per bound would mispredict on serving traffic that
@@ -111,12 +111,12 @@ func (s *BoxSet) IntersectionVolume(i, j int) float64 {
 // once so the loop needs no per-element bounds checks on them, and the body
 // must stay under the inliner's budget: compiledModel.estimate relies on
 // getting the loop inlined (go build -gcflags=-m ./internal/core shows it).
-func (s *BoxSet) CornersIntersectionVolume(i int, qlo, qhi []float64) float64 {
+func (s *BoxSet) CornersIntersectionVolume(i int, lo, hi []float64) float64 {
 	d := s.dim
-	lo, hi := s.Lo[i*d:][:d], s.Hi[i*d:][:d]
+	blo, bhi := s.Lo[i*d:][:d], s.Hi[i*d:][:d]
 	v := 1.0
-	for k, l := range lo {
-		side := min(hi[k], qhi[k]) - max(l, qlo[k])
+	for k, l := range blo {
+		side := min(bhi[k], hi[k]) - max(l, lo[k])
 		if side <= 0 {
 			return 0
 		}

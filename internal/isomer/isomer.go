@@ -398,7 +398,7 @@ func solveDiagonalQP(vols []float64, members [][]int, sels []float64, lambda flo
 		}
 		t[i] = s
 	}
-	y, _, err := linalg.SolveSPD(k, t)
+	ch, _, err := linalg.FactorSPD(k, 0)
 	if err != nil {
 		// K is SPD by construction; if the ridge cascade still fails, fall
 		// back to frequencies proportional to volume (uniform).
@@ -406,6 +406,7 @@ func solveDiagonalQP(vols []float64, members [][]int, sels []float64, lambda flo
 		copy(w, vols)
 		return w
 	}
+	y := ch.Solve(t)
 	// w = λ·D⁻¹(u − Aᵀy), i.e. w_j = λ·v_j·(u_j − Σ_{i: j∈C_i} y_i).
 	w := make([]float64, m)
 	for j := 0; j < m; j++ {

@@ -223,7 +223,7 @@ func TestWoodburyMatchesDenseQP(t *testing.T) {
 			a.Set(i, j, 1)
 		}
 	}
-	wDense, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: sels, Lambda: lambda})
+	wDense, _, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: sels, Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}

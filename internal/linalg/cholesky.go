@@ -175,36 +175,18 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	return x
 }
 
-// SolveSPD solves M·x = b for symmetric positive-(semi)definite M, applying
-// an escalating diagonal ridge if the bare factorization fails. QuickSel's
+// FactorSPD factors the symmetric positive-(semi)definite matrix m,
+// applying an escalating diagonal ridge if the bare factorization fails,
+// and returns the factor and the ridge that made it succeed. QuickSel's
 // system Q + λAᵀA is PSD and occasionally rank-deficient when subpopulation
 // boxes coincide; a relative ridge restores definiteness without visibly
-// perturbing the weights. It returns the ridge used.
-func SolveSPD(m *Matrix, b []float64) (x []float64, ridge float64, err error) {
-	return SolveSPDWorkers(m, b, 0)
-}
-
-// SolveSPDWorkers is SolveSPD with an explicit worker count for the
-// factorization (0 = GOMAXPROCS, 1 = sequential).
-func SolveSPDWorkers(m *Matrix, b []float64, workers int) (x []float64, ridge float64, err error) {
-	if m.Rows == 0 && m.Cols == 0 {
-		return nil, 0, nil
-	}
-	ch, ridge, err := FactorSPD(m, workers)
-	if err != nil {
-		return nil, ridge, err
-	}
-	return ch.Solve(b), ridge, nil
-}
-
-// FactorSPD factors the symmetric positive-(semi)definite matrix m with the
-// same escalating-ridge schedule as SolveSPD, returning the factor and the
-// ridge that made it succeed. The input is not modified. Callers that keep
-// the factor warm across solves (internal/qp.WarmState) must re-apply the
-// same ridge when they rebuild the system.
+// perturbing the weights. The input is not modified. Callers that keep the
+// factor warm across solves (internal/qp.WarmState) must re-apply the same
+// ridge when they rebuild the system. workers bounds the factorization's
+// goroutines (0 = GOMAXPROCS, 1 = sequential).
 func FactorSPD(m *Matrix, workers int) (c *Cholesky, ridge float64, err error) {
 	if m.Rows != m.Cols {
-		return nil, 0, fmt.Errorf("linalg: SolveSPD of non-square %d×%d matrix", m.Rows, m.Cols)
+		return nil, 0, fmt.Errorf("linalg: FactorSPD of non-square %d×%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
 	if n == 0 {

@@ -8,9 +8,9 @@ import (
 // Rank-k maintenance of a Cholesky factorization. The warm-start training
 // path (internal/qp.WarmState) keeps the factor of M = Q + λAᵀA across
 // retrains and edits it in place as feedback arrives: a new observation row
-// is the rank-1 update M += λw·aaᵀ, an evicted or merged observation is the
-// matching rank-1 downdate, and a grown subpopulation set is a bordered
-// extension. Each edit costs O(n²) against the O(n³/3) of refactoring.
+// is the rank-1 update M += λw·aaᵀ, and an evicted or merged observation is
+// the matching rank-1 downdate. Each edit costs O(n²) against the O(n³/3)
+// of refactoring.
 
 // N returns the dimension of the factored matrix.
 func (c *Cholesky) N() int { return c.n }
@@ -110,72 +110,4 @@ func (c *Cholesky) Downdate(v []float64) error {
 		li[i] = r
 	}
 	return nil
-}
-
-// AppendBlock grows the factorization by k rows and columns. rows[t] is row
-// n+t of the bordered symmetric matrix; each must have length n+k (only the
-// entries up to and including the diagonal are read). The new rows run the
-// textbook left-looking recurrence in exactly the accumulation order of
-// NewCholesky — ascending-k subtraction, reciprocal-multiply by the pivot —
-// so appending to the factor of the leading block is bit-identical to
-// refactoring the full bordered matrix from scratch. Returns ErrNotSPD, with
-// the receiver unchanged, when the extension is not positive definite.
-func (c *Cholesky) AppendBlock(rows [][]float64) error {
-	k := len(rows)
-	if k == 0 {
-		return nil
-	}
-	n := c.n
-	nn := n + k
-	for t, row := range rows {
-		if len(row) != nn {
-			return fmt.Errorf("linalg: Cholesky.AppendBlock row %d has length %d, want %d", t, len(row), nn)
-		}
-	}
-	l := make([]float64, nn*nn)
-	for i := 0; i < n; i++ {
-		copy(l[i*nn:i*nn+n], c.l[i*n:i*n+n])
-	}
-	for t := 0; t < k; t++ {
-		i := n + t
-		li := l[i*nn:]
-		copy(li[:i+1], rows[t][:i+1])
-		for j := 0; j < i; j++ {
-			lj := l[j*nn:]
-			s := li[j]
-			for q := 0; q < j; q++ {
-				s -= li[q] * lj[q]
-			}
-			li[j] = s * (1 / lj[j])
-		}
-		d := li[i]
-		for q := 0; q < i; q++ {
-			d -= li[q] * li[q]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotSPD
-		}
-		li[i] = math.Sqrt(d)
-	}
-	c.n, c.l = nn, l
-	return nil
-}
-
-// DropLast truncates the factorization to its leading (n−k)×(n−k) block.
-// Truncation is exact — the leading block of L is the factor of the leading
-// block of M — so DropLast followed by AppendBlock of the same rows
-// round-trips to a bit-identical factorization.
-func (c *Cholesky) DropLast(k int) {
-	if k < 0 || k > c.n {
-		panic(fmt.Sprintf("linalg: Cholesky.DropLast(%d) on %d×%d factor", k, c.n, c.n))
-	}
-	if k == 0 {
-		return
-	}
-	nn := c.n - k
-	l := make([]float64, nn*nn)
-	for i := 0; i < nn; i++ {
-		copy(l[i*nn:(i+1)*nn], c.l[i*c.n:i*c.n+nn])
-	}
-	c.n, c.l = nn, l
 }

@@ -109,136 +109,6 @@ func TestDowndateRejectsLosingDefiniteness(t *testing.T) {
 	}
 }
 
-// borderedRows extracts rows n0..n-1 of m as AppendBlock input.
-func borderedRows(m *Matrix, n0 int) [][]float64 {
-	rows := make([][]float64, m.Rows-n0)
-	for t := range rows {
-		rows[t] = append([]float64(nil), m.Row(n0+t)...)
-	}
-	return rows
-}
-
-func TestAppendBlockBitIdenticalToRefactorization(t *testing.T) {
-	for _, seed := range []int64{7, 8} {
-		for _, split := range []struct{ n0, k int }{{0, 5}, {1, 1}, {10, 3}, {20, 13}, {63, 2}, {64, 65}} {
-			rng := rand.New(rand.NewSource(seed))
-			n := split.n0 + split.k
-			m := randomSPD(rng, n)
-			full, err := NewCholeskyWorkers(m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lead := &Matrix{Rows: split.n0, Cols: split.n0, Data: make([]float64, split.n0*split.n0)}
-			for i := 0; i < split.n0; i++ {
-				copy(lead.Data[i*split.n0:(i+1)*split.n0], m.Row(i)[:split.n0])
-			}
-			ch, err := NewCholeskyWorkers(lead, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ch.AppendBlock(borderedRows(m, split.n0)); err != nil {
-				t.Fatalf("seed=%d n0=%d k=%d: %v", seed, split.n0, split.k, err)
-			}
-			if ch.n != full.n {
-				t.Fatalf("appended factor has n=%d, want %d", ch.n, full.n)
-			}
-			for i := range ch.l {
-				if ch.l[i] != full.l[i] {
-					t.Fatalf("seed=%d n0=%d k=%d: appended factor differs from refactorization at flat index %d: %v vs %v",
-						seed, split.n0, split.k, i, ch.l[i], full.l[i])
-				}
-			}
-		}
-	}
-}
-
-func TestDropLastAppendRoundTripBitIdentical(t *testing.T) {
-	for _, seed := range []int64{9, 10} {
-		rng := rand.New(rand.NewSource(seed))
-		n, k := 30, 7
-		m := randomSPD(rng, n)
-		ch, err := NewCholeskyWorkers(m, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig := ch.Clone()
-		ch.DropLast(k)
-		if ch.N() != n-k {
-			t.Fatalf("DropLast left n=%d, want %d", ch.N(), n-k)
-		}
-		if err := ch.AppendBlock(borderedRows(m, n-k)); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ch.l {
-			if ch.l[i] != orig.l[i] {
-				t.Fatalf("seed=%d: round trip differs at flat index %d", seed, i)
-			}
-		}
-	}
-}
-
-func TestAppendBlockRejectsIndefiniteExtension(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randomSPD(rng, 4)
-	ch, err := NewCholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ch.Clone()
-	// Border with row 0's off-diagonals but a zero diagonal: the Schur
-	// complement is strictly negative, so the bordered matrix is indefinite.
-	row := make([]float64, 5)
-	copy(row, m.Row(0)[:4])
-	row[4] = 0
-	if err := ch.AppendBlock([][]float64{row}); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("AppendBlock = %v, want ErrNotSPD", err)
-	}
-	if ch.n != before.n {
-		t.Fatal("failed AppendBlock must leave the factor unchanged")
-	}
-	for i := range ch.l {
-		if ch.l[i] != before.l[i] {
-			t.Fatal("failed AppendBlock modified the factor")
-		}
-	}
-}
-
-func TestAppendBlockDimensionError(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ch, err := NewCholesky(randomSPD(rng, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.AppendBlock([][]float64{{1, 2, 3}}); err == nil {
-		t.Fatal("want dimension error for short row")
-	}
-}
-
-func TestFactorSPDMatchesSolveSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 6, 40} {
-		m := randomSPD(rng, n)
-		b := randomVec(rng, float64(n), 1)
-		x1, r1, err := SolveSPDWorkers(m, b, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, r2, err := FactorSPD(m, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1 != r2 {
-			t.Fatalf("ridge mismatch: %g vs %g", r1, r2)
-		}
-		x2 := ch.Solve(b)
-		for i := range x1 {
-			if x1[i] != x2[i] {
-				t.Fatalf("n=%d: FactorSPD+Solve differs from SolveSPD at %d", n, i)
-			}
-		}
-	}
-}
-
 func TestFactorSPDAppliesRidgeToSingular(t *testing.T) {
 	// Rank-1 matrix: needs the escalating ridge.
 	m := FromRows([][]float64{{1, 1}, {1, 1}})

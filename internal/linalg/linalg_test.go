@@ -122,24 +122,29 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// The empty system factors, and its solve is the empty solution.
 func TestSolveSPDEmpty(t *testing.T) {
-	x, _, err := SolveSPD(NewMatrix(0, 0), nil)
-	if err != nil || len(x) != 0 {
-		t.Errorf("empty solve: x=%v err=%v", x, err)
+	ch, _, err := FactorSPD(NewMatrix(0, 0), 0)
+	if err != nil {
+		t.Fatalf("empty factor: %v", err)
+	}
+	if x := ch.Solve(nil); len(x) != 0 {
+		t.Errorf("empty solve: x=%v", x)
 	}
 }
 
 func TestSolveSPDRidgeRecoversSingular(t *testing.T) {
 	// Rank-1 PSD matrix: bare Cholesky fails, ridge must rescue it.
 	m := FromRows([][]float64{{1, 1}, {1, 1}})
-	x, ridge, err := SolveSPD(m, []float64{2, 2})
+	ch, ridge, err := FactorSPD(m, 0)
 	if err != nil {
-		t.Fatalf("SolveSPD failed: %v", err)
+		t.Fatalf("FactorSPD failed: %v", err)
 	}
 	if ridge == 0 {
 		t.Error("expected a non-zero ridge for a singular matrix")
 	}
 	// Solution of the ridged system stays near the minimum-norm solution [1,1].
+	x := ch.Solve([]float64{2, 2})
 	if math.Abs(x[0]-1) > 0.01 || math.Abs(x[1]-1) > 0.01 {
 		t.Errorf("ridged solution = %v, want ≈[1 1]", x)
 	}
@@ -187,7 +192,7 @@ func TestPropertyCholeskyReconstruction(t *testing.T) {
 	}
 }
 
-// Property: SolveSPD residual ‖Mx-b‖ is tiny relative to ‖b‖.
+// Property: the FactorSPD + Solve residual ‖Mx-b‖ is tiny relative to ‖b‖.
 func TestPropertySolveResidual(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,10 +202,11 @@ func TestPropertySolveResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, _, err := SolveSPD(m, b)
+		ch, _, err := FactorSPD(m, 0)
 		if err != nil {
 			return false
 		}
+		x := ch.Solve(b)
 		r := m.MulVec(x)
 		AXPY(-1, b, r)
 		return Norm2(r) <= 1e-8*(1+Norm2(b))
@@ -220,9 +226,11 @@ func BenchmarkCholeskySolve(b *testing.B) {
 		}
 		b.Run(itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveSPD(m, rhs); err != nil {
+				ch, _, err := FactorSPD(m, 0)
+				if err != nil {
 					b.Fatal(err)
 				}
+				ch.Solve(rhs)
 			}
 		})
 	}

@@ -76,17 +76,19 @@ func (p *Problem) assemble() (*linalg.Matrix, []float64) {
 
 // SolveAnalytic computes the closed-form solution of Problem 3 with one SPD
 // solve. This is QuickSel's production path: constant number of operations,
-// no iteration, no data-dependent convergence behaviour (§4.2).
-func SolveAnalytic(p *Problem) ([]float64, error) {
+// no iteration, no data-dependent convergence behaviour (§4.2). It also
+// returns the warm state of the factorization it made, which a caller that
+// retrains incrementally keeps and any other caller drops.
+func SolveAnalytic(p *Problem) ([]float64, *WarmState, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, rhs := p.assemble()
-	w, _, err := linalg.SolveSPDWorkers(m, rhs, p.Workers)
+	chol, ridge, err := linalg.FactorSPD(m, p.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("qp: analytic solve: %w", err)
+		return nil, nil, fmt.Errorf("qp: analytic solve: %w", err)
 	}
-	return w, nil
+	return chol.Solve(rhs), &WarmState{chol: chol, rhs: rhs, lambda: p.lambda(), ridge: ridge}, nil
 }
 
 // IterativeOptions tunes SolveIterative.

@@ -50,7 +50,7 @@ func TestValidate(t *testing.T) {
 
 func TestSolveAnalyticSatisfiesConstraints(t *testing.T) {
 	p := tinyProblem()
-	w, err := SolveAnalytic(p)
+	w, _, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSolveAnalyticSatisfiesConstraints(t *testing.T) {
 
 func TestSolveIterativeMatchesAnalytic(t *testing.T) {
 	p := tinyProblem()
-	wa, err := SolveAnalytic(p)
+	wa, _, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSolveIterativeProjection(t *testing.T) {
 
 func TestSolveEmptyProblem(t *testing.T) {
 	p := &Problem{Q: linalg.NewMatrix(0, 0), A: linalg.NewMatrix(0, 0), S: nil}
-	w, err := SolveAnalytic(p)
+	w, _, err := SolveAnalytic(p)
 	if err != nil || len(w) != 0 {
 		t.Errorf("empty analytic: %v, %v", w, err)
 	}
@@ -120,7 +120,7 @@ func TestSolveEmptyProblem(t *testing.T) {
 
 func TestObjectiveDecreasesAtSolution(t *testing.T) {
 	p := tinyProblem()
-	w, err := SolveAnalytic(p)
+	w, _, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPropertyAnalyticOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 2+rng.Intn(6), 1+rng.Intn(4))
-		wa, err := SolveAnalytic(p)
+		wa, _, err := SolveAnalytic(p)
 		if err != nil {
 			return false
 		}
@@ -212,7 +212,7 @@ func BenchmarkSolveAnalytic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveAnalytic(p); err != nil {
+		if _, _, err := SolveAnalytic(p); err != nil {
 			b.Fatal(err)
 		}
 	}

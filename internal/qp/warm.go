@@ -8,7 +8,7 @@ import (
 )
 
 // WarmState is the reusable half of an analytic solve: the Cholesky factor
-// of M = Q + λAᵀA (including the ridge SolveSPD escalated to), the
+// of M = Q + λAᵀA (including the ridge linalg.FactorSPD escalated to), the
 // right-hand side λAᵀs, and the penalty weight. As long as the
 // subpopulations — and therefore Q and the columns of A — stay fixed, each
 // new observation row a contributes the rank-1 term λw·aaᵀ to M and λw·s·a
@@ -20,22 +20,6 @@ type WarmState struct {
 	lambda float64
 	ridge  float64
 	edits  int // rank-1 edits applied since the full factorization
-}
-
-// SolveAnalyticWarm is SolveAnalytic, additionally returning the warm state
-// of the factorization it performed. The weights are bit-identical to
-// SolveAnalytic's: the same assembly, the same ridge schedule, the same
-// factorization and substitution.
-func SolveAnalyticWarm(p *Problem) ([]float64, *WarmState, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	m, rhs := p.assemble()
-	chol, ridge, err := linalg.FactorSPD(m, p.Workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("qp: analytic solve: %w", err)
-	}
-	return chol.Solve(rhs), &WarmState{chol: chol, rhs: rhs, lambda: p.lambda(), ridge: ridge}, nil
 }
 
 // Dim returns the number of subpopulation weights the state solves for.

@@ -64,14 +64,11 @@ func relErr(got, want []float64) float64 {
 func TestWarmBaseSolveBitIdenticalToCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := warmProblem(rng, 25, 9, 0)
-	cold, err := SolveAnalytic(p)
+	cold, ws, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, ws, err := SolveAnalyticWarm(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := ws.Solve()
 	for i := range cold {
 		if warm[i] != cold[i] {
 			t.Fatalf("warm base solve differs from cold at %d: %v vs %v", i, warm[i], cold[i])
@@ -88,7 +85,7 @@ func TestWarmAddRowMatchesColdAcrossSeedsAndSizes(t *testing.T) {
 			for _, batch := range []int{1, 4, 16} {
 				rng := rand.New(rand.NewSource(seed))
 				p := warmProblem(rng, m, m/2+1, 0) // default λ = 1e6
-				_, ws, err := SolveAnalyticWarm(p)
+				_, ws, err := SolveAnalytic(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +102,7 @@ func TestWarmAddRowMatchesColdAcrossSeedsAndSizes(t *testing.T) {
 					ws.AddRow(row, sels[tB], weights[tB])
 				}
 				got := ws.Solve()
-				want, err := SolveAnalytic(extend(p, rows, sels, weights))
+				want, _, err := SolveAnalytic(extend(p, rows, sels, weights))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +121,7 @@ func TestWarmRemoveRowMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := 30
 	p := warmProblem(rng, m, 10, 0)
-	_, ws, err := SolveAnalyticWarm(p)
+	_, ws, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestWarmRemoveRowMatchesCold(t *testing.T) {
 		t.Fatalf("RemoveRow: %v", err)
 	}
 	got := ws.Solve()
-	want, err := SolveAnalytic(extend(p, [][]float64{keep}, []float64{0.3}, []float64{1}))
+	want, _, err := SolveAnalytic(extend(p, [][]float64{keep}, []float64{0.3}, []float64{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestWarmRidgePathMatchesColdAtSameRidge(t *testing.T) {
 	m, n := 12, 4
 	p := warmProblem(rng, m, n, 0)
 	p.Q = linalg.NewMatrix(m, m)
-	_, ws, err := SolveAnalyticWarm(p)
+	_, ws, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +165,7 @@ func TestWarmRidgePathMatchesColdAtSameRidge(t *testing.T) {
 	ws.AddRow(row, 0.5, 1)
 	got := ws.Solve()
 	// Cold reference at the SAME ridge the warm factor carries: assemble the
-	// extended system, add ridge·I, one plain factorization. (A cold SolveSPD
+	// extended system, add ridge·I, one plain factorization. (A cold FactorSPD
 	// would pick its own ridge from the new trace; that difference is the
 	// cold path's, not the warm path's.)
 	ext := extend(p, [][]float64{row}, []float64{0.5}, []float64{1})
@@ -189,7 +186,7 @@ func TestWarmRidgePathMatchesColdAtSameRidge(t *testing.T) {
 func TestWarmRemoveForeignRowFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := warmProblem(rng, 10, 4, 0)
-	_, ws, err := SolveAnalyticWarm(p)
+	_, ws, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,7 @@ func TestWarmRemoveForeignRowFails(t *testing.T) {
 func TestWarmCloneIsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := warmProblem(rng, 8, 3, 0)
-	_, ws, err := SolveAnalyticWarm(p)
+	_, ws, err := SolveAnalytic(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -442,20 +441,20 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if raw == nil {
 		raw = []observation{req.observation}
 	}
-	// Validate the whole batch before queueing anything, so a 400 means
-	// nothing was ingested and the client can safely retry the corrected
-	// batch without double-counting the records before the bad one.
+	// The registry validates the whole batch before queueing anything, so a
+	// 400 means nothing was ingested and the client can safely retry the
+	// corrected batch without double-counting the records before the bad
+	// one. A missing selectivity goes in as NaN, which that check refuses.
 	batch := make([]Observation, len(raw))
 	for i, o := range raw {
 		if o.Where == "" {
 			s.writeError(w, fmt.Errorf("observation %d: missing where clause", i))
 			return
 		}
-		if o.Selectivity == nil || math.IsNaN(*o.Selectivity) || *o.Selectivity < 0 || *o.Selectivity > 1 {
-			s.writeError(w, fmt.Errorf("observation %d: selectivity must be in [0, 1]", i))
-			return
+		batch[i] = Observation{Where: o.Where, Sel: nan}
+		if o.Selectivity != nil {
+			batch[i].Sel = *o.Selectivity
 		}
-		batch[i] = Observation{Where: o.Where, Sel: *o.Selectivity}
 	}
 	sp := obs.SpanFrom(r.Context())
 	sp.Stage("decode")

@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -251,6 +252,38 @@ type estimatorState struct {
 	// mean, exported per estimator and federated cluster-wide so accuracy
 	// drift shows up as a moving p95 before Page-Hinkley fires.
 	qerrorHist obs.Histogram
+}
+
+// sample records one prequential sample, the serving model's estimate est
+// for an observation whose actual selectivity is sel, in the accuracy
+// tracker and the q-error histogram, and reports whether the tracker raised
+// a drift alarm. A NaN estimate (the estimate failed) records nothing. The
+// caller holds st.mu.
+func (st *estimatorState) sample(est, sel float64) (drifted bool) {
+	if est != est {
+		return false
+	}
+	st.qerrorHist.ObserveValue(lifecycle.QError(est, sel))
+	return st.tracker.Add(est, sel)
+}
+
+// checkObservation rejects a feedback record no model can learn from: a
+// selectivity that is not a number in [0, 1], or a predicate that does not
+// lower against the schema (a NaN bound, a column out of range). lowered
+// says the predicate is already known to lower, because an estimate of it
+// succeeded, so the check need not lower it again. The registry checks
+// each record once, before anything is queued or logged; replay and
+// replication skip a record that fails it, which only a log written before
+// the check can hold.
+func checkObservation(schema *quicksel.Schema, pred *quicksel.Predicate, sel float64, lowered bool) error {
+	if !(sel >= 0 && sel <= 1) {
+		return errors.New("selectivity must be in [0, 1]")
+	}
+	if lowered {
+		return nil
+	}
+	_, err := pred.Boxes(schema)
+	return err
 }
 
 // Registry is the concurrent estimator registry behind the HTTP API. Create
@@ -634,10 +667,11 @@ func (r *Registry) Observe(name, where string, sel float64) (backlog int, accept
 
 // ObserveBatch parses every WHERE clause against the estimator's schema and
 // queues the batch for background training. The batch is atomic with
-// respect to validation: if any clause fails to parse, nothing is queued
-// and the error names the failing index. It returns the backlog after the
-// append and how many observations were accepted; observations beyond the
-// buffer bound are dropped and counted.
+// respect to validation: if any clause fails to parse or any record fails
+// ObserveParsed's check, nothing is queued and the error names the failing
+// index. It returns the backlog after the append and how many observations
+// were accepted; observations beyond the buffer bound are dropped and
+// counted.
 func (r *Registry) ObserveBatch(name string, batch []Observation) (backlog, accepted int, err error) {
 	st, err := r.state(name)
 	if err != nil {
@@ -668,7 +702,10 @@ type ParsedObservation struct {
 	Sel  float64
 }
 
-// ObserveParsed ingests pre-parsed observations: it records each record's
+// ObserveParsed ingests pre-parsed observations. It first checks every
+// record (a selectivity in [0, 1], a predicate that lowers against the
+// schema); one bad record fails the whole batch with an error naming its
+// index, before anything is queued or logged. It then records each record's
 // prequential sample — the serving model's estimate for the predicate
 // before the feedback is absorbed — into the accuracy tracker, steps the
 // drift detector, and queues the batch for background training. A drift
@@ -698,14 +735,18 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 	st.mu.Unlock()
 	// Estimate against the serving model outside st.mu — the Estimator has
 	// its own lock and the serving model is never mutated in place, so these
-	// reads race nothing.
+	// reads race nothing — and check each record before anything is queued.
+	schema := serving.Schema()
 	estimates = make([]float64, len(recs))
 	for i, rec := range recs {
-		sel, eerr := serving.Estimate(rec.Pred)
+		est, eerr := serving.Estimate(rec.Pred)
 		if eerr != nil {
-			sel = nan
+			est = nan
 		}
-		estimates[i] = sel
+		if err := checkObservation(schema, rec.Pred, rec.Sel, eerr == nil); err != nil {
+			return nil, 0, 0, fmt.Errorf("observation %d: %w", i, err)
+		}
+		estimates[i] = est
 	}
 	// Frame the log payloads outside the lock too: encoding under the lock
 	// would serialize the group commit this path exists to feed. The
@@ -720,11 +761,8 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 	st.mu.Lock()
 	drifted := false
 	for i, rec := range recs {
-		if estimates[i] == estimates[i] { // skip NaNs
-			if st.tracker.Add(estimates[i], rec.Sel) {
-				drifted = true
-			}
-			st.qerrorHist.ObserveValue(lifecycle.QError(estimates[i], rec.Sel))
+		if st.sample(estimates[i], rec.Sel) {
+			drifted = true
 		}
 	}
 	room := r.cfg.BufferSize - len(st.pending)

@@ -287,9 +287,13 @@ func TestHTTPErrors(t *testing.T) {
 		_ = name
 	}
 
-	status, body = doJSON(t, "POST", ts.URL+"/v1/people/observe",
-		`{"where": "age >= 30", "selectivity": 1.5}`)
-	mustStatus(t, http.StatusBadRequest, status, body)
+	for _, req := range []string{`{"where": "age >= 30", "selectivity": 1.5}`, `{"where": "age >= 30"}`} {
+		status, body = doJSON(t, "POST", ts.URL+"/v1/people/observe", req)
+		mustStatus(t, http.StatusBadRequest, status, body)
+		if !strings.Contains(string(body), "observation 0: selectivity must be in [0, 1]") {
+			t.Errorf("observe %s: body %s", req, body)
+		}
+	}
 	status, body = doJSON(t, "POST", ts.URL+"/v1/people/observe",
 		`{"where": "nosuchcol >= 30", "selectivity": 0.5}`)
 	mustStatus(t, http.StatusBadRequest, status, body)

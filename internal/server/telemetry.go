@@ -53,7 +53,7 @@ func (s *Server) collect() obs.Telemetry {
 		counter("quickseld_wal_compacted_segments_total", "Log segments deleted by snapshot-driven compaction.", ws.CompactedSegments)
 		counter("quickseld_wal_append_errors_total", "Appends that failed the durability wait.", s.reg.walAppendErrs.Load())
 		counter("quickseld_wal_replayed_records_total", "Records replayed into the registry at startup.", s.reg.walReplayed.Load())
-		counter("quickseld_wal_replay_skipped_total", "Undecodable records skipped during replay.", s.reg.walReplaySkipped.Load())
+		counter("quickseld_wal_replay_skipped_total", "Undecodable or invalid records skipped during replay or replication.", s.reg.walReplaySkipped.Load())
 		counter("quickseld_wal_truncated_bytes_total", "Torn-tail bytes truncated at open.", ws.TruncatedBytes)
 		gauge("quickseld_wal_segments", "Retained log segment files.", float64(ws.Segments))
 		gauge("quickseld_wal_size_bytes", "Retained log bytes on disk.", float64(ws.SizeBytes))

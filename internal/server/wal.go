@@ -131,11 +131,13 @@ func (r *Registry) applyRecord(rec wal.Record) (applied bool) {
 	switch rec.Type {
 	case walRecObserve:
 		name, pred, sel, err := decodeObservePayload(rec.Payload)
+		if err == nil {
+			applied, err = r.replayObservation(rec.Seq, name, pred, sel)
+		}
 		if err != nil {
 			skip("observe", err)
-			return false
 		}
-		return r.replayObservation(rec.Seq, name, pred, sel)
+		return applied
 	case walRecCreate:
 		var c walCreate
 		if err := json.Unmarshal(rec.Payload, &c); err != nil {
@@ -223,37 +225,41 @@ func (r *Registry) replayWAL() error {
 }
 
 // replayObservation re-ingests one logged observation, mirroring
-// ObserveParsed's bookkeeping. Reports whether the record was applied.
-func (r *Registry) replayObservation(seq uint64, name string, pred *quicksel.Predicate, sel float64) bool {
+// ObserveParsed's bookkeeping. Reports whether the record was applied, or
+// the error of a record ObserveParsed's check would have refused.
+func (r *Registry) replayObservation(seq uint64, name string, pred *quicksel.Predicate, sel float64) (bool, error) {
 	r.mu.RLock()
 	st, ok := r.estimators[name]
 	r.mu.RUnlock()
 	if !ok {
 		// Created before the snapshot and dropped before the crash (the
 		// later drop record, if retained, is a no-op too).
-		return false
+		return false, nil
 	}
 	st.mu.Lock()
 	if seq <= st.walConsumed {
 		st.mu.Unlock()
-		return false // already inside the snapshot's model
+		return false, nil // already inside the snapshot's model
 	}
 	fresh := seq > st.walSeq // ingested after the snapshot: its sample died with the process
 	serving := st.serving
 	st.mu.Unlock()
 
-	est := nan
+	est, lowered := nan, false
 	if fresh {
 		if v, err := serving.Estimate(pred); err == nil {
-			est = v
+			est, lowered = v, true
 		}
+	}
+	if err := checkObservation(serving.Schema(), pred, sel, lowered); err != nil {
+		return false, err
 	}
 
 	st.mu.Lock()
 	if fresh {
-		if est == est {
-			st.tracker.Add(est, sel)
-		}
+		// No drift wake: replay kicks the trainer when it ends, and a
+		// follower does not train.
+		st.sample(est, sel)
 		st.observedTotal++
 	}
 	full := len(st.pending) >= r.cfg.BufferSize
@@ -276,5 +282,5 @@ func (r *Registry) replayObservation(seq uint64, name string, pred *quicksel.Pre
 		}
 		st.mu.Unlock()
 	}
-	return true
+	return true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -635,6 +636,144 @@ func TestWALLegacyAuditRecords(t *testing.T) {
 	}
 	if got := fmt.Sprint(estimates(mixed, newFollowerReg(t, nil))); got != want {
 		t.Fatalf("replicated with audit records: %s, want %s", got, want)
+	}
+}
+
+// TestObserveRejectsInvalidRecords: a record no model can learn from is
+// refused, with its index, before anything of its batch is queued or logged,
+// so it can neither fail every later training run nor block the registry
+// snapshot. An older log that holds such records replays, and replicates,
+// without them, counting each as skipped.
+func TestObserveRejectsInvalidRecords(t *testing.T) {
+	reg := newPrimary(t, nil)
+	for _, name := range []string{"bad", "good"} {
+		if err := reg.Create(name, walSchema(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid := ParsedObservation{Pred: quicksel.Range(0, 30, 50), Sel: 0.3}
+	nanBound := quicksel.Range(0, math.NaN(), 30)
+	logged := reg.wal.LastSeq()
+	for _, rec := range []ParsedObservation{
+		{Pred: valid.Pred, Sel: math.NaN()},
+		{Pred: valid.Pred, Sel: 1.5},
+		{Pred: valid.Pred, Sel: -0.1},
+		{Pred: nanBound, Sel: 0.2},
+		{Pred: quicksel.Range(5, 0, 1), Sel: 0.2}, // no column 5
+	} {
+		if _, _, _, err := reg.ObserveParsed("bad", []ParsedObservation{valid, rec}); err == nil || !strings.HasPrefix(err.Error(), "observation 1: ") {
+			t.Errorf("ObserveParsed(%v, %g): error %v, want one naming observation 1", rec.Pred, rec.Sel, err)
+		}
+	}
+	if _, _, err := reg.ObserveBatch("bad", []Observation{{Where: "age >= 30", Sel: math.NaN()}}); err == nil {
+		t.Error("ObserveBatch accepted a NaN selectivity")
+	}
+	if got := reg.wal.LastSeq(); got != logged {
+		t.Fatalf("refused batches logged %d records", got-logged)
+	}
+	for _, name := range []string{"bad", "good"} {
+		if _, backlog, _, err := reg.ObserveParsed(name, []ParsedObservation{valid}); err != nil || backlog != 1 {
+			t.Fatalf("%s: backlog %d, err %v; want only the valid record queued", name, backlog, err)
+		}
+	}
+	state := shipAll(t, reg, 1)
+	if err := reg.Train(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same log as an older build could have written it.
+	older := append(state,
+		wal.Record{Type: walRecObserve, Payload: appendObservePayload(nil, "bad", valid.Pred, math.NaN())},
+		wal.Record{Type: walRecObserve, Payload: appendObservePayload(nil, "bad", nanBound, 0.2)})
+	for i := range older {
+		older[i].Seq = uint64(i + 1)
+	}
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(older...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := NewRegistry(Config{WALDir: dir, TrainInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.closeAbrupt()
+	follower := newFollowerReg(t, nil)
+	if err := follower.Replicate(older); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	for what, r := range map[string]*Registry{"replay": replayed, "replication": follower} {
+		if n := r.walReplaySkipped.Load(); n != 2 {
+			t.Errorf("%s: %d records counted as skipped, want 2", what, n)
+		}
+		if err := r.Train(""); err != nil {
+			t.Errorf("%s: Train: %v", what, err)
+		}
+	}
+}
+
+// TestReplaySamplesQError: a restart re-takes the prequential sample of
+// every observation the crash lost, in the q-error histogram as well as in
+// the accuracy tracker, as ObserveParsed does.
+func TestReplaySamplesQError(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		SnapshotPath:  filepath.Join(dir, "snap.json"),
+		WALDir:        filepath.Join(dir, "wal"),
+		WALSync:       "always",
+		TrainInterval: time.Hour,
+	}
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Create("e", walSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	const before, lost = 40, 30
+	obs := walObservations(before+lost, 3)
+	if _, _, err := reg.ObserveBatch("e", obs[:before]); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := reg.ObserveBatch("e", obs[before:]); err != nil {
+		t.Fatal(err)
+	}
+	reg.closeAbrupt()
+
+	recovered, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.closeAbrupt()
+	st, err := recovered.state("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	samples := st.tracker.Report().Samples
+	st.mu.Unlock()
+	if samples != before+lost {
+		t.Fatalf("tracker holds %d samples, want %d", samples, before+lost)
+	}
+	// The histogram is not persisted: after the restart it holds exactly
+	// the replayed samples.
+	if got := st.qerrorHist.Snapshot().Total; got != lost {
+		t.Fatalf("q-error histogram holds %d samples after replaying %d lost ones", got, lost)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"quicksel"
@@ -62,6 +63,49 @@ func TestAllMethodsServeEstimates(t *testing.T) {
 					t.Errorf("probe %d (%q): estimate %g outside [0, 1]", i, snapshotProbes[i], sel)
 				}
 			}
+		})
+	}
+}
+
+// Four goroutines batch-estimate on one trained estimator of every method,
+// and every answer matches a serial control bit for bit. Run under -race.
+func TestAllMethodsConcurrentEstimateBatch(t *testing.T) {
+	for _, method := range quicksel.Methods() {
+		t.Run(method, func(t *testing.T) {
+			est := trainedMethodEstimator(t, method)
+			preds := make([]*quicksel.Predicate, len(snapshotProbes))
+			for i, where := range snapshotProbes {
+				p, err := quicksel.Parse(est.Schema(), where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				preds[i] = p
+			}
+			want, err := est.EstimateBatch(preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for iter := 0; iter < 25; iter++ {
+						got, err := est.EstimateBatch(preds)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Errorf("probe %d (%q): concurrent %v, serial %v", i, snapshotProbes[i], got[i], want[i])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -88,9 +88,8 @@ func BenchmarkTrainSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimate times the compiled serving loop: clip into scratch, one
-// multiply-add per retained subpopulation over SoA bounds. Must report
-// 0 allocs/op.
+// BenchmarkEstimate times the compiled serving loop: one multiply-add per
+// retained subpopulation over SoA bounds. Must report 0 allocs/op.
 func BenchmarkEstimate(b *testing.B) {
 	for _, sz := range perfSizes {
 		b.Run(fmt.Sprintf("m=%d/d=%d", sz.m, sz.d), func(b *testing.B) {
@@ -142,6 +141,35 @@ func BenchmarkEstimateBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEstimateBatchParallel runs 64-clause d=8 conjunction batches
+// from every goroutine b.RunParallel starts, all on one trained m=2000
+// estimator, so running it at -cpu 1,2 shows how reads of a single
+// estimator scale with cores. ns/op is wall clock per batch across all
+// goroutines, the inverse of aggregate throughput.
+func BenchmarkEstimateBatchParallel(b *testing.B) {
+	const m, d, batch = 2000, 8, 64
+	est := perfEstimator(b, m, d)
+	rng := rand.New(rand.NewSource(3))
+	preds := make([]*quicksel.Predicate, batch)
+	for i := range preds {
+		leaves := make([]*quicksel.Predicate, d)
+		for k := range leaves {
+			lo := rng.Float64() * 0.5
+			leaves[k] = quicksel.Range(k, lo, lo+0.5)
+		}
+		preds[i] = quicksel.And(leaves...)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := est.EstimateBatch(preds); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // perfEstimator builds a trained public estimator over d real [0,1] columns

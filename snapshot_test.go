@@ -149,6 +149,12 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	if _, err := quicksel.Restore(s); err == nil {
 		t.Error("Restore accepted wrong-dimension observation")
 	}
+
+	s = est.Snapshot()
+	s.Model.Subpops[0].Hi[0] = 1.5
+	if _, err := quicksel.Restore(s); err == nil {
+		t.Error("Restore accepted a subpopulation outside the unit cube")
+	}
 }
 
 // TestEstimatorConcurrentHammer drives one Estimator from many goroutines
