@@ -100,8 +100,9 @@ func timeTrain(m, d, workers int) (time.Duration, *core.Model, error) {
 
 // timeBatch measures per-query time through the real public batch path —
 // predicate lowering outside the estimator lock, one lock acquisition per
-// EstimateBatch call — so the JSON column characterizes the batch API, not
-// a re-run of the single-estimate kernel.
+// EstimateBatch call, the clauses split over GOMAXPROCS goroutines — so the
+// JSON column characterizes the batch API, not a re-run of the
+// single-estimate kernel.
 func timeBatch(m, d int) (nsPerQuery float64, err error) {
 	cols := make([]quicksel.Column, d)
 	for i := range cols {

@@ -158,7 +158,12 @@
 //
 // Serving compiles the trained model at Train time into an immutable form —
 // zero-weight subpopulations pruned, weights pre-divided by box volume,
-// bounds in contiguous arrays — so Estimate is an allocation-free loop. For
-// many predicates at once, EstimateBatch and EstimateBatchWhere lower and
-// parse outside the estimator lock and acquire it once per batch.
+// bounds in contiguous arrays — so Estimate is an allocation-free loop that
+// writes nothing. Estimates hold the estimator lock shared: readers of one
+// estimator run side by side and wait only for writers (Observe, Train,
+// Snapshot) and for a pending lazy fit, which the estimate that finds it
+// pays alone. For many predicates at once, EstimateBatch and
+// EstimateBatchWhere parse and lower outside the lock, acquire it once per
+// batch and split the clauses over GOMAXPROCS goroutines, each answer
+// bit-identical to Estimate's. WithWorkers caps training only.
 package quicksel

@@ -259,9 +259,10 @@ func (m *Model) Dim() int { return m.cfg.Dim }
 // NumObserved returns the number of recorded training queries.
 func (m *Model) NumObserved() int { return len(m.observations) }
 
-// NeedsTraining reports whether observations have arrived since the last
-// training run, i.e. whether the next Estimate would pay a lazy refit.
-func (m *Model) NeedsTraining() bool { return !m.trained && len(m.observations) > 0 }
+// NeedsTraining reports whether the next Estimate would run a training
+// pass, and so write: observations have arrived since the last run, or the
+// model has never been fitted (the pass then fits the uniform prior).
+func (m *Model) NeedsTraining() bool { return !m.trained }
 
 // ParamCount returns the number of model parameters (subpopulation
 // weights) of the last trained model; 0 before training.

@@ -11,8 +11,11 @@
 // (internal/predicate), an observation is one (box, selectivity) feedback
 // record, and an estimate is requested for a union of disjoint boxes.
 //
-// Backends are not safe for concurrent use; the public quicksel.Estimator
-// and the server registry serialize access.
+// Backends are not safe for concurrent use, with one exception: while
+// FitPending reports false, Estimate writes nothing and may run on many
+// goroutines at once, provided no other method runs. The public
+// quicksel.Estimator holds its lock shared for exactly those estimates and
+// exclusively for every other call.
 package estimator
 
 import (
@@ -159,16 +162,17 @@ func Restore(method string, state json.RawMessage) (Backend, error) {
 }
 
 // lazyFitter is implemented by backends whose Estimate pays a deferred
-// fitting step when observations are pending (QuickSel's QP solve, the
+// fitting step until the model is fitted (QuickSel's QP solve, the
 // max-entropy scaling solve). Incremental backends don't implement it.
 type lazyFitter interface {
 	fitPending() bool
 }
 
-// FitPending reports whether the backend holds observations it has not yet
-// fitted — i.e. whether its next Estimate would trigger a lazy training
-// pass. The accuracy tracker uses this to skip realized-accuracy sampling
-// rather than force a refit on the observe path.
+// FitPending reports whether the backend's next Estimate would run a lazy
+// training pass, and so write: it holds observations it has not yet fitted,
+// or it has never been fitted at all. With FitPending false, Estimate only
+// reads. The accuracy tracker also uses this to skip realized-accuracy
+// sampling rather than force a refit on the observe path.
 func FitPending(b Backend) bool {
 	if lf, ok := b.(lazyFitter); ok {
 		return lf.fitPending()

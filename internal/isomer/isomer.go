@@ -138,9 +138,11 @@ func (h *Histogram) ParamCount() int { return len(h.buckets) }
 // NumObserved returns the number of recorded queries.
 func (h *Histogram) NumObserved() int { return len(h.queries) }
 
-// NeedsTraining reports whether queries have arrived since the last scaling
-// solve, i.e. whether the next Estimate would pay a lazy training pass.
-func (h *Histogram) NeedsTraining() bool { return !h.trained && len(h.queries) > 0 }
+// NeedsTraining reports whether the next Estimate would run a training
+// pass, and so write: queries have arrived since the last scaling solve, or
+// the histogram has never been fitted (the pass then spreads mass by
+// volume).
+func (h *Histogram) NeedsTraining() bool { return !h.trained }
 
 // Observe records a (predicate box, selectivity) pair, refining the bucket
 // partition so the box is exactly covered by whole buckets.

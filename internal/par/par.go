@@ -1,6 +1,7 @@
 // Package par provides the small deterministic parallel-for primitive used
 // by QuickSel's training and serving kernels (Q-matrix assembly, the Gram
-// accumulation, the blocked Cholesky panels).
+// accumulation, the blocked Cholesky panels, the clauses of a batch
+// estimate).
 //
 // The contract that makes the parallelism safe to sprinkle over numerical
 // code is strict: a body invoked for the chunk [lo, hi) may only write state

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -123,8 +124,8 @@ func (p *Predicate) String() string {
 
 // Boxes lowers the predicate into a set of pairwise-disjoint boxes in the
 // normalized unit cube [0,1)^dim(schema). The union of the returned boxes is
-// exactly the region the predicate selects. An error is reported for
-// out-of-range column references and NaN bounds.
+// exactly the region the predicate selects. An error is reported for nil
+// predicates, out-of-range column references and NaN bounds.
 func (p *Predicate) Boxes(s *Schema) ([]geom.Box, error) {
 	raw, err := p.lower(s)
 	if err != nil {
@@ -154,7 +155,11 @@ func (p *Predicate) Box(s *Schema) (geom.Box, error) {
 }
 
 // lower produces a (possibly overlapping) set of boxes for the predicate.
+// A nil node, at the top or nested, is an error.
 func (p *Predicate) lower(s *Schema) ([]geom.Box, error) {
+	if p == nil {
+		return nil, errors.New("predicate: nil predicate")
+	}
 	unit := geom.Unit(s.Dim())
 	switch p.k {
 	case kindAll:

@@ -506,9 +506,11 @@ type estimateBatchRequest struct {
 
 // MaxEstimateBatch bounds one batch-estimate request. The whole batch is
 // answered under a single estimator lock acquisition (that is the point —
-// one model generation, amortized locking), so an unbounded batch would let
-// one client stall every other estimate and the background trainer's
-// snapshot step on that estimator.
+// one model generation, amortized locking). Estimates hold that lock
+// shared, so readers do not wait for each other, but a writer on the
+// estimator (the background trainer's clone and snapshot steps) waits for
+// every batch in progress, and each estimate arriving after it waits in
+// turn: an unbounded batch would let one client stall them all.
 const MaxEstimateBatch = 4096
 
 // handleEstimateBatch serves many estimates in one request, amortizing HTTP

@@ -733,9 +733,11 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 	st.mu.Lock()
 	serving := st.serving
 	st.mu.Unlock()
-	// Estimate against the serving model outside st.mu — the Estimator has
-	// its own lock and the serving model is never mutated in place, so these
-	// reads race nothing — and check each record before anything is queued.
+	// Estimate against the serving model outside st.mu — the serving model
+	// is never mutated in place and the Estimator's own lock, shared by
+	// reads, orders its one lazy fit, so these reads race nothing and wait
+	// for no other reader — and check each record before anything is
+	// queued.
 	schema := serving.Schema()
 	estimates = make([]float64, len(recs))
 	for i, rec := range recs {

@@ -2,7 +2,9 @@ package quicksel_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,24 +69,82 @@ func TestAllMethodsServeEstimates(t *testing.T) {
 	}
 }
 
-// Four goroutines batch-estimate on one trained estimator of every method,
-// and every answer matches a serial control bit for bit. Run under -race.
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the test when it is lower, so
+// batches split over goroutines even on a one-CPU runner.
+func atLeastTwoProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// batchWheres returns the snapshot probes followed by generated ranges, 64
+// clauses in all: long enough that EstimateBatch splits them over
+// goroutines.
+func batchWheres() []string {
+	wheres := append([]string(nil), snapshotProbes...)
+	for i := len(wheres); i < 64; i++ {
+		lo := 18 + i%60
+		wheres = append(wheres, fmt.Sprintf("age BETWEEN %d AND %d AND salary < %d", lo, lo+10, 20000*(1+i%14)))
+	}
+	return wheres
+}
+
+func parseAll(t *testing.T, schema *quicksel.Schema, wheres []string) []*quicksel.Predicate {
+	t.Helper()
+	preds := make([]*quicksel.Predicate, len(wheres))
+	for i, where := range wheres {
+		p, err := quicksel.Parse(schema, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = p
+	}
+	return preds
+}
+
+// estimateEach is the serial control: one Estimate per predicate.
+func estimateEach(t *testing.T, est *quicksel.Estimator, preds []*quicksel.Predicate) []float64 {
+	t.Helper()
+	out := make([]float64, len(preds))
+	for i, p := range preds {
+		sel, err := est.Estimate(p)
+		if err != nil {
+			t.Fatalf("Estimate(%v): %v", p, err)
+		}
+		out[i] = sel
+	}
+	return out
+}
+
+// sameBits reports through t the first clause whose batch answer differs
+// in bits from its single estimate, and whether every answer matched. It
+// may run on any goroutine.
+func sameBits(t *testing.T, wheres []string, got, want []float64) bool {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("batch of %d answers, want %d", len(got), len(want))
+		return false
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("clause %d (%q): batch %v, single %v", i, wheres[i], got[i], want[i])
+			return false
+		}
+	}
+	return true
+}
+
+// Four goroutines batch-estimate 64 clauses at a time on one trained
+// estimator of every method, each batch split over goroutines in turn, and
+// every answer matches the clause's single Estimate bit for bit. Run under
+// -race.
 func TestAllMethodsConcurrentEstimateBatch(t *testing.T) {
+	atLeastTwoProcs(t)
+	wheres := batchWheres()
 	for _, method := range quicksel.Methods() {
 		t.Run(method, func(t *testing.T) {
 			est := trainedMethodEstimator(t, method)
-			preds := make([]*quicksel.Predicate, len(snapshotProbes))
-			for i, where := range snapshotProbes {
-				p, err := quicksel.Parse(est.Schema(), where)
-				if err != nil {
-					t.Fatal(err)
-				}
-				preds[i] = p
-			}
-			want, err := est.EstimateBatch(preds)
-			if err != nil {
-				t.Fatal(err)
-			}
+			preds := parseAll(t, est.Schema(), wheres)
+			want := estimateEach(t, est, preds)
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
@@ -96,16 +156,176 @@ func TestAllMethodsConcurrentEstimateBatch(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						for i := range want {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Errorf("probe %d (%q): concurrent %v, serial %v", i, snapshotProbes[i], got[i], want[i])
-								return
-							}
+						if !sameBits(t, wheres, got, want) {
+							return
 						}
 					}
 				}()
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// Four readers, two batch-estimating 64 clauses at a time and two
+// estimating one clause at a time, run against a writer that observes,
+// trains and snapshots the same estimator of every method, starting from a
+// model never fitted. No call fails, every answer lies in [0, 1], and once
+// the writer stops a batch equals the clauses' single estimates bit for
+// bit. Run under -race -count=10.
+func TestAllMethodsReadersDuringWrites(t *testing.T) {
+	atLeastTwoProcs(t)
+	wheres := batchWheres()
+	for _, method := range quicksel.Methods() {
+		t.Run(method, func(t *testing.T) {
+			est, err := quicksel.New(testSchema(t), quicksel.WithSeed(7), quicksel.WithMethod(method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds := parseAll(t, est.Schema(), wheres)
+			stop := make(chan struct{})
+			var started, readers sync.WaitGroup
+			started.Add(4)
+			readers.Add(4)
+			for r := 0; r < 4; r++ {
+				go func() {
+					defer readers.Done()
+					for n := 0; ; n++ {
+						var sels []float64
+						var err error
+						if r%2 == 0 {
+							sels, err = est.EstimateBatch(preds)
+						} else {
+							var sel float64
+							sel, err = est.Estimate(preds[n%len(preds)])
+							sels = []float64{sel}
+						}
+						if n == 0 {
+							started.Done()
+						}
+						if err != nil {
+							t.Errorf("reader %d: %v", r, err)
+							return
+						}
+						for _, sel := range sels {
+							if !(sel >= 0 && sel <= 1) {
+								t.Errorf("reader %d: estimate %v outside [0, 1]", r, sel)
+								return
+							}
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			halt := sync.OnceFunc(func() {
+				close(stop)
+				readers.Wait()
+			})
+			defer halt()
+			// Every reader's first call ran against the never-fitted model.
+			started.Wait()
+			for i := 0; i < 12; i++ {
+				lo := 18 + 5*i
+				where := fmt.Sprintf("age BETWEEN %d AND %d OR salary >= %d", lo, lo+12, 250000-15000*i)
+				if err := est.ObserveWhere(where, 0.05+0.05*float64(i%6)); err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 1 {
+					if err := est.Train(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if s := est.Snapshot(); s.Method != method {
+					t.Fatalf("snapshot method %q, want %q", s.Method, method)
+				}
+			}
+			halt()
+			want := estimateEach(t, est, preds)
+			got, err := est.EstimateBatch(preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, wheres, got, want)
+		})
+	}
+}
+
+// A batch with bad clauses at indices 17 and 45, which a split batch hands
+// to different goroutines, reports index 17 with the text a clause-by-clause
+// pass gives.
+func TestAllMethodsBatchErrorNamesLowestIndex(t *testing.T) {
+	atLeastTwoProcs(t)
+	for _, method := range quicksel.Methods() {
+		t.Run(method, func(t *testing.T) {
+			est := trainedMethodEstimator(t, method)
+			wheres := batchWheres()
+			wheres[17], wheres[45] = "age >>= 3", "nope"
+			_, err := est.EstimateBatchWhere(wheres)
+			if want := `quicksel: estimate 17: predicate: parse error at offset 5: expected number, got ">="`; err == nil || err.Error() != want {
+				t.Errorf("EstimateBatchWhere error %v, want %s", err, want)
+			}
+			preds := parseAll(t, est.Schema(), batchWheres())
+			preds[17], preds[45] = quicksel.Range(1, math.NaN(), 5), quicksel.AtMost(2, math.NaN())
+			_, err = est.EstimateBatch(preds)
+			if want := "quicksel: estimate 17: predicate: NaN bound on column 1"; err == nil || err.Error() != want {
+				t.Errorf("EstimateBatch error %v, want %s", err, want)
+			}
+		})
+	}
+}
+
+// A lazy fit that fails is paid by the batch's first clause, so the batch
+// names index 0, as a clause-by-clause pass does.
+func TestEstimateBatchFailedFitNamesClauseZero(t *testing.T) {
+	atLeastTwoProcs(t)
+	// A penalty this large overflows λAᵀA, so the analytic solve finds no
+	// positive definite factor.
+	est, err := quicksel.New(testSchema(t), quicksel.WithSeed(7), quicksel.WithLambda(math.MaxFloat64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := est.ObserveWhere("age >= 18", 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = est.EstimateBatch(parseAll(t, est.Schema(), batchWheres()))
+	if want := "quicksel: estimate 0: core: analytic training: qp: analytic solve: linalg: matrix is not positive definite"; err == nil || err.Error() != want {
+		t.Errorf("EstimateBatch error %v, want %s", err, want)
+	}
+}
+
+// A nil predicate, at the top or nested, is an error from Observe, Estimate
+// and EstimateBatch on every method, not a panic; in the batch it sits at an
+// index a split batch hands to another goroutine.
+func TestAllMethodsRejectNilPredicate(t *testing.T) {
+	atLeastTwoProcs(t)
+	nils := map[string]*quicksel.Predicate{
+		"top": nil,
+		"and": quicksel.And(quicksel.Range(0, 20, 40), nil),
+		"or":  quicksel.Or(quicksel.Range(0, 20, 40), nil),
+		"not": quicksel.Not(nil),
+	}
+	for _, method := range quicksel.Methods() {
+		t.Run(method, func(t *testing.T) {
+			est := trainedMethodEstimator(t, method)
+			batch := parseAll(t, est.Schema(), batchWheres())
+			for name, p := range nils {
+				if err := est.Observe(p, 0.5); err == nil {
+					t.Errorf("%s: Observe succeeded, want an error", name)
+				}
+				if got, err := est.Estimate(p); err == nil {
+					t.Errorf("%s: Estimate = %v, want an error", name, got)
+				}
+				batch[40] = p
+				if _, err := est.EstimateBatch(batch); err == nil || !strings.Contains(err.Error(), "estimate 40: predicate: nil predicate") {
+					t.Errorf("%s: EstimateBatch error %v, want one naming index 40", name, err)
+				}
+			}
 		})
 	}
 }

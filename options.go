@@ -109,8 +109,9 @@ func WithIterativeSolver() Option {
 // (Q-matrix assembly, the Gram product, the blocked Cholesky). 0 — the
 // default — uses GOMAXPROCS; 1 forces the sequential path. Every worker
 // count produces bit-identical weights, so the knob trades cores for
-// training wall clock without affecting estimates or snapshots.
-// QuickSel method only.
+// training wall clock without affecting estimates or snapshots. It caps
+// training only: EstimateBatch splits a batch over GOMAXPROCS goroutines
+// whatever it is set to, so GOMAXPROCS caps both. QuickSel method only.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.model.Workers = n }
 }

@@ -115,8 +115,9 @@ func BenchmarkEstimate(b *testing.B) {
 }
 
 // BenchmarkEstimateBatch times the public batch path end to end (lowering
-// outside the lock, one lock acquisition for the whole batch) and reports
-// per-query nanoseconds.
+// outside the lock, one lock acquisition for the whole batch, the clauses
+// split over GOMAXPROCS goroutines, so -cpu 1 times the inline path) and
+// reports per-query nanoseconds.
 func BenchmarkEstimateBatch(b *testing.B) {
 	const batch = 128
 	for _, sz := range perfSizes {

@@ -8,6 +8,7 @@ import (
 	"quicksel/internal/estimator"
 	"quicksel/internal/geom"
 	"quicksel/internal/lifecycle"
+	"quicksel/internal/par"
 	"quicksel/internal/predicate"
 	"quicksel/internal/wal"
 )
@@ -76,7 +77,10 @@ var (
 
 // Estimator is the public face of the library: a selectivity-learning model
 // bound to a schema. It is safe for concurrent use; Observe and Estimate
-// may be called from multiple goroutines.
+// may be called from multiple goroutines. Estimates of a fitted model run
+// side by side under a shared lock, and EstimateBatch spreads one batch over
+// GOMAXPROCS goroutines; Observe, Train, Snapshot and the other methods
+// that change or copy the model run alone, after the estimates in progress.
 //
 // An Estimator is backed by one of six interchangeable estimation methods
 // (see WithMethod): QuickSel's mixture model by default, or one of the
@@ -87,7 +91,9 @@ var (
 // Estimate after one or more Observe calls (re)trains the model. Call Train
 // explicitly to control when the fitting cost is paid.
 type Estimator struct {
-	mu      sync.Mutex
+	// mu is held shared by an estimate whose backend reads without writing
+	// (see lockRead) and exclusively by everything else.
+	mu      sync.RWMutex
 	schema  *Schema
 	backend estimator.Backend
 
@@ -210,7 +216,10 @@ func (e *Estimator) Observe(p *Predicate, trueSelectivity float64) error {
 // write-ahead-log replay run through it, which is what keeps a replayed
 // estimator bit-identical to the live one.
 func (e *Estimator) ingestLocked(boxes []geom.Box, trueSelectivity float64) error {
-	if e.tracker != nil && !estimator.FitPending(e.backend) {
+	// A model with observations awaiting a lazy fit skips the sample rather
+	// than pay the refit here; one that has observed nothing fits only the
+	// uniform prior, so it is sampled.
+	if e.tracker != nil && (!estimator.FitPending(e.backend) || e.backend.Stats().Observed == 0) {
 		if est, err := e.backend.Estimate(boxes); err == nil {
 			e.tracker.Add(est, trueSelectivity)
 		}
@@ -288,16 +297,43 @@ func (e *Estimator) Estimate(p *Predicate) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("quicksel: estimate: %w", err)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	shared := e.lockRead()
+	defer e.unlockRead(shared)
 	return e.backend.Estimate(boxes)
+}
+
+// lockRead takes e.mu for an estimate and reports whether it is held
+// shared. It is when the backend has no lazy fit pending, so its Estimate
+// writes nothing and any number of estimates can run at once; otherwise the
+// estimate that pays the fit holds the lock exclusively, as every write
+// does. Release it with unlockRead.
+func (e *Estimator) lockRead() (shared bool) {
+	e.mu.RLock()
+	if !estimator.FitPending(e.backend) {
+		return true
+	}
+	e.mu.RUnlock()
+	e.mu.Lock()
+	return false
+}
+
+func (e *Estimator) unlockRead(shared bool) {
+	if shared {
+		e.mu.RUnlock()
+	} else {
+		e.mu.Unlock()
+	}
 }
 
 // EstimateBatch returns the estimated selectivity of each predicate, in
 // input order. All predicates are lowered to boxes before the estimator
-// lock is taken, and the lock is then acquired once for the whole batch, so
-// a large batch costs one lock acquisition instead of one per predicate. A
-// lowering error fails the whole batch and names the offending index.
+// lock is taken, and the lock is then acquired once for the whole batch.
+// Under it the clauses are split over GOMAXPROCS goroutines (a batch too
+// short to split runs on the caller's); each answer is bit-identical to
+// Estimate's for the same predicate. A batch that pays a pending lazy fit
+// runs in order on the caller's goroutine, its first clause paying the
+// fit. A lowering or estimation error fails the whole batch and names the
+// lowest offending index.
 func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 	lowered := make([][]geom.Box, len(preds))
 	for i, p := range preds {
@@ -307,21 +343,35 @@ func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 		}
 		lowered[i] = boxes
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]float64, len(preds))
-	for i, boxes := range lowered {
-		sel, err := e.backend.Estimate(boxes)
+	out := make([]float64, len(lowered))
+	errs := make([]error, len(lowered))
+	shared := e.lockRead()
+	defer e.unlockRead(shared)
+	workers := 1 // a batch paying a lazy fit runs in order on this goroutine
+	if shared {
+		workers = 0 // GOMAXPROCS
+	}
+	// Each clause writes only its own slots, par.For's contract. The workers
+	// call the backend directly: a nested RLock would deadlock once a writer
+	// queues behind the one this goroutine holds.
+	par.For(workers, len(lowered), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if out[i], errs[i] = e.backend.Estimate(lowered[i]); errs[i] != nil {
+				return // a later clause of this chunk cannot hold the lowest-index error
+			}
+		}
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("quicksel: estimate %d: %w", i, err)
 		}
-		out[i] = sel
 	}
 	return out, nil
 }
 
 // EstimateBatchWhere is EstimateBatch with parsed WHERE clauses: parsing and
-// lowering are amortized outside the estimator lock.
+// lowering are amortized outside the estimator lock, and an unparsable
+// clause fails the batch before any is lowered.
 func (e *Estimator) EstimateBatchWhere(wheres []string) ([]float64, error) {
 	preds := make([]*Predicate, len(wheres))
 	for i, w := range wheres {

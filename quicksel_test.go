@@ -1,10 +1,15 @@
 package quicksel
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"quicksel/internal/estimator"
+	"quicksel/internal/geom"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -204,6 +209,48 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if e.NumObserved() != 100 {
 		t.Errorf("NumObserved = %d, want 100", e.NumObserved())
+	}
+}
+
+// failingBackend fails Estimate for a clause whose first box starts at a
+// column-0 corner in bad and answers the rest from the wrapped backend. No
+// real backend fails a clause that lowered, so it stands in for an estimate
+// error inside a batch split over goroutines.
+type failingBackend struct {
+	estimator.Backend
+	bad map[float64]bool
+}
+
+func (b failingBackend) Estimate(boxes []geom.Box) (float64, error) {
+	if lo := boxes[0].Lo[0]; b.bad[lo] {
+		return 0, fmt.Errorf("bad clause at %g", lo)
+	}
+	return b.Backend.Estimate(boxes)
+}
+
+// An estimate error inside a split batch is reported for the lowest failing
+// index, whichever goroutine meets its failure first.
+func TestEstimateBatchReportsLowestEstimateError(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	s := testSchema(t)
+	inner, err := New(s, WithMethod("sthole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Estimator{schema: s, backend: failingBackend{
+		Backend: inner.backend,
+		bad:     map[float64]bool{s.Normalize(0, 17): true, s.Normalize(0, 45): true},
+	}}
+	preds := make([]*Predicate, 64)
+	for i := range preds {
+		preds[i] = Range(0, float64(i), float64(i+1))
+	}
+	want := fmt.Sprintf("quicksel: estimate 17: bad clause at %g", s.Normalize(0, 17))
+	for iter := 0; iter < 20; iter++ {
+		if _, err := e.EstimateBatch(preds); err == nil || err.Error() != want {
+			t.Fatalf("EstimateBatch error %v, want %s", err, want)
+		}
 	}
 }
 
