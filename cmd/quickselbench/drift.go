@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"time"
 
@@ -176,6 +174,13 @@ func runDriftBench(rows int, seed int64, outPath string) (string, error) {
 	if rows == 0 {
 		rows = driftDefaultRows
 	}
+	var file *perfReport
+	if outPath != "" {
+		var err error
+		if file, err = readBenchFile(outPath); err != nil {
+			return "", err
+		}
+	}
 	cfg := workload.DriftConfig{
 		Kind:            workload.MeanShiftDrift,
 		Rows:            rows,
@@ -222,18 +227,8 @@ func runDriftBench(rows int, seed int64, outPath string) (string, error) {
 	}
 
 	if outPath != "" {
-		// Merge into the existing report so the perf section survives.
-		var file perfReport
-		if data, err := os.ReadFile(outPath); err == nil {
-			_ = json.Unmarshal(data, &file)
-		}
 		file.Drift = &report
-		data, err := json.MarshalIndent(&file, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		if err := writeBenchFile(outPath, file); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&sb, "\nwrote drift section to %s\n", outPath)

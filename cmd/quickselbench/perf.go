@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"runtime"
@@ -58,6 +60,36 @@ type perfReport struct {
 	// Drift is the recovery-time/accuracy comparison of promotion policies
 	// under a drifting workload (quickselbench drift).
 	Drift *driftReport `json:"drift,omitempty"`
+}
+
+// readBenchFile returns the report at path, so a subcommand can rewrite its
+// own section and keep the others. A missing file is an empty report. A file
+// that exists but does not parse (a merge-conflict marker, a truncated
+// write) is an error: rewriting it would keep only the caller's section and
+// drop every other. Subcommands read it before measuring, so such a run
+// stops at once and leaves the file as it was.
+func readBenchFile(path string) (*perfReport, error) {
+	report := &perfReport{}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return report, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(data, report); err != nil {
+		return nil, fmt.Errorf("%s does not parse, so it is left unchanged: %w", path, err)
+	}
+	return report, nil
+}
+
+// writeBenchFile writes report to path as indented JSON.
+func writeBenchFile(path string, report *perfReport) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // perfObserve feeds m/10 deterministic synthetic range queries so the
@@ -152,6 +184,13 @@ func runPerf(outPath string, maxM int) (string, error) {
 		Note: "train_seq_ms uses Workers=1, train_par_ms uses Workers=GOMAXPROCS; " +
 			"both produce bit-identical weights. Speedup requires a multi-core host.",
 	}
+	var file *perfReport
+	if outPath != "" {
+		var err error
+		if file, err = readBenchFile(outPath); err != nil {
+			return "", err
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf: GOMAXPROCS=%d %s\n", report.GoMaxProcs, report.GoVersion)
 	fmt.Fprintf(&b, "%6s %3s %14s %14s %8s %13s %14s %10s %10s %10s\n",
@@ -223,19 +262,9 @@ func runPerf(outPath string, maxM int) (string, error) {
 	b.WriteString(observeOut)
 
 	if outPath != "" {
-		// Preserve the sections other subcommands own (the drift report).
-		var existing perfReport
-		if data, err := os.ReadFile(outPath); err == nil {
-			_ = json.Unmarshal(data, &existing)
-		}
-		report.WarmStart = existing.WarmStart
-		report.Drift = existing.Drift
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		// Keep the sections other subcommands own.
+		report.WarmStart, report.Drift = file.WarmStart, file.Drift
+		if err := writeBenchFile(outPath, &report); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "wrote %s\n", outPath)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -41,10 +40,29 @@ type warmResult struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// warmReport is the warm_start section of BENCH_quicksel.json.
+// warmReport is the warm_start section of BENCH_quicksel.json. Its rows
+// are timings, so it records the host they were taken on.
 type warmReport struct {
-	Note    string       `json:"note"`
-	Results []warmResult `json:"results"`
+	Note       string       `json:"note"`
+	GoMaxProcs int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"nproc"`
+	CPU        string       `json:"cpu"`
+	Results    []warmResult `json:"results"`
+}
+
+// cpuModel returns the processor model named in /proc/cpuinfo, or "unknown"
+// where that file is missing or names none.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // newWarmModel builds a model with a frozen m-subpopulation budget, feeds it
@@ -90,12 +108,22 @@ func warmObserveBatch(model *core.Model, d, n, offset int) error {
 // minSpeedup (when > 0) fails the run if any batch-64 row comes in under
 // it — the CI smoke gate.
 func runWarmBench(outPath string, maxM int, minSpeedup float64) (string, error) {
+	var file *perfReport
+	if outPath != "" {
+		var err error
+		if file, err = readBenchFile(outPath); err != nil {
+			return "", err
+		}
+	}
 	report := &warmReport{
 		Note: "full_ms refits a cold model over identical state (fresh factorization); " +
 			"incremental_ms re-solves the warm model by rank-1 updates. Both use Workers=1.",
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        cpuModel(),
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "warm: GOMAXPROCS=%d %s\n", runtime.GOMAXPROCS(0), runtime.Version())
+	fmt.Fprintf(&b, "warm: GOMAXPROCS=%d NumCPU=%d %s %s\n", report.GoMaxProcs, report.NumCPU, report.CPU, runtime.Version())
 	fmt.Fprintf(&b, "%6s %3s %8s %6s %10s %14s %8s\n", "m", "d", "history", "batch", "full-ms", "incremental-ms", "speedup")
 	for _, sz := range warmSizes {
 		if maxM > 0 && sz.m > maxM {
@@ -160,18 +188,8 @@ func runWarmBench(outPath string, maxM int, minSpeedup float64) (string, error) 
 	}
 
 	if outPath != "" {
-		// Preserve the sections other subcommands own.
-		var existing perfReport
-		if data, err := os.ReadFile(outPath); err == nil {
-			_ = json.Unmarshal(data, &existing)
-		}
-		existing.WarmStart = report
-		data, err := json.MarshalIndent(&existing, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		file.WarmStart = report
+		if err := writeBenchFile(outPath, file); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "wrote %s\n", outPath)

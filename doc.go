@@ -148,10 +148,11 @@
 //
 // # Performance
 //
-// Training runs its three heavy kernels — Q-matrix assembly over a flat
-// structure-of-arrays box layout, the Gram product, and a blocked
-// panel-parallel Cholesky factorization — on GOMAXPROCS goroutines by
-// default; WithWorkers caps the count per estimator (WithWorkers(1) forces
+// Training runs its four heavy kernels — the nearest-center radii that size
+// the subpopulations, Q-matrix assembly over a flat structure-of-arrays box
+// layout, the Gram product, and a blocked panel-parallel Cholesky
+// factorization with a register-tiled trailing update — on GOMAXPROCS
+// goroutines by default; WithWorkers caps the count per estimator (WithWorkers(1) forces
 // the sequential path). Every worker count yields bit-identical weights:
 // each matrix element accumulates its floating-point terms in a fixed order
 // and workers write disjoint rows, so parallelism never perturbs snapshots.

@@ -21,10 +21,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"quicksel/internal/geom"
 	"quicksel/internal/linalg"
+	"quicksel/internal/par"
 	"quicksel/internal/qp"
 )
 
@@ -79,7 +79,7 @@ func (g *GaussianModel) Train() error {
 		return nil
 	}
 	g.centers = centers
-	g.sigmas = centerRadii(centers, g.umm.cfg.NearestCenters)
+	g.sigmas = centerRadii(centers, g.umm.cfg.NearestCenters, g.umm.cfg.Workers)
 	for i := range g.sigmas {
 		// ±2σ spans the UMM box of the same radius.
 		g.sigmas[i] /= 2
@@ -116,7 +116,7 @@ func (g *GaussianModel) Train() error {
 			a.Set(i+1, j, g.boxMass(j, o.box))
 		}
 	}
-	w, _, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: g.umm.cfg.Lambda})
+	w, _, err := qp.SolveAnalytic(&qp.Problem{Q: q, A: a, S: s, Lambda: g.umm.cfg.Lambda, Workers: g.umm.cfg.Workers})
 	if err != nil {
 		return fmt.Errorf("core: gaussian training: %w", err)
 	}
@@ -176,32 +176,50 @@ func (g *GaussianModel) Estimate(box geom.Box) (float64, error) {
 }
 
 // centerRadii returns, for each center, the average distance to its k
-// nearest other centers (§3.3 step 3, shared by both mixture variants).
-func centerRadii(centers [][]float64, k int) []float64 {
-	radii := make([]float64, len(centers))
-	dists := make([]float64, 0, len(centers))
-	for i, c := range centers {
-		dists = dists[:0]
-		for j, other := range centers {
-			if j == i {
-				continue
-			}
-			dists = append(dists, geom.SquaredDistance(c, other))
-		}
-		if len(dists) == 0 {
-			radii[i] = 0.5
-			continue
-		}
-		kk := k
-		if kk > len(dists) {
-			kk = len(dists)
-		}
-		sort.Float64s(dists)
-		var sum float64
-		for _, d2 := range dists[:kk] {
-			sum += math.Sqrt(d2)
-		}
-		radii[i] = sum / float64(kk)
+// nearest other centers (§3.3 step 3, shared by both mixture variants). Each
+// center keeps only its min(k, m−1) smallest squared distances, sorted by
+// insertion, and sums their square roots in ascending order: the k smallest
+// values of a multiset, ties included, are the values a full sort puts
+// first, in the same order, so the radii are those of sorting all m−1. The
+// centers are split over workers goroutines (0 = GOMAXPROCS), each writing
+// only its own radii.
+func centerRadii(centers [][]float64, k, workers int) []float64 {
+	m := len(centers)
+	radii := make([]float64, m)
+	if m == 1 {
+		radii[0] = 0.5 // no other center to measure against
+		return radii
 	}
+	kk := min(k, m-1)
+	par.For(workers, m, 0, func(lo, hi int) {
+		nearest := make([]float64, 0, kk)
+		for i := lo; i < hi; i++ {
+			nearest = nearest[:0]
+			for j, other := range centers {
+				if j == i {
+					continue
+				}
+				d2 := geom.SquaredDistance(centers[i], other)
+				if len(nearest) == kk {
+					if kk == 0 || d2 >= nearest[kk-1] {
+						continue
+					}
+					nearest = nearest[:kk-1]
+				}
+				// Insert d2, moving the larger kept values up one place.
+				p := len(nearest)
+				nearest = append(nearest, d2)
+				for ; p > 0 && nearest[p-1] > d2; p-- {
+					nearest[p] = nearest[p-1]
+				}
+				nearest[p] = d2
+			}
+			var sum float64
+			for _, d2 := range nearest {
+				sum += math.Sqrt(d2)
+			}
+			radii[i] = sum / float64(kk)
+		}
+	})
 	return radii
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"quicksel/internal/geom"
@@ -159,6 +161,114 @@ func TestGaussianModelEstimatesInRange(t *testing.T) {
 		}
 		if e < 0 || e > 1 || math.IsNaN(e) {
 			t.Fatalf("estimate %g out of range", e)
+		}
+	}
+}
+
+// referenceRadii is the loop centerRadii replaced: sort all m−1 squared
+// distances of each center, then average the square roots of the k
+// smallest, in ascending order.
+func referenceRadii(centers [][]float64, k int) []float64 {
+	radii := make([]float64, len(centers))
+	dists := make([]float64, 0, len(centers))
+	for i, c := range centers {
+		dists = dists[:0]
+		for j, other := range centers {
+			if j == i {
+				continue
+			}
+			dists = append(dists, geom.SquaredDistance(c, other))
+		}
+		if len(dists) == 0 {
+			radii[i] = 0.5
+			continue
+		}
+		kk := k
+		if kk > len(dists) {
+			kk = len(dists)
+		}
+		sort.Float64s(dists)
+		var sum float64
+		for _, d2 := range dists[:kk] {
+			sum += math.Sqrt(d2)
+		}
+		radii[i] = sum / float64(kk)
+	}
+	return radii
+}
+
+// The bounded k-nearest selection gives the sort-based radii bit for bit,
+// ties included, at any worker count, and sizes its buffer by m rather than
+// by k: a snapshot's nearest_centers has no upper bound.
+func TestCenterRadiiMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, m := range []int{1, 2, 10, 11, 517} {
+		// Grid coordinates make many distances tie, and every fourth center
+		// repeats an earlier one exactly.
+		centers := make([][]float64, m)
+		for i := range centers {
+			if i > 0 && i%4 == 0 {
+				centers[i] = append([]float64(nil), centers[rng.Intn(i)]...)
+				continue
+			}
+			centers[i] = []float64{float64(rng.Intn(5)) / 4, float64(rng.Intn(5)) / 4, rng.Float64()}
+		}
+		for _, k := range []int{1, 10, m - 1, m, 1 << 30} {
+			want := referenceRadii(centers, k)
+			for _, workers := range []int{1, 3} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				got := centerRadii(centers, k, workers)
+				runtime.ReadMemStats(&after)
+				if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+					t.Fatalf("m=%d k=%d workers=%d: allocated %d bytes", m, k, workers, alloc)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("m=%d k=%d workers=%d: radius %d = %v, want %v", m, k, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The Gaussian ablation honours Workers like the uniform model: its radii,
+// Gram product and factorization are split over the configured goroutines,
+// and every worker count trains bit-identical weights.
+func TestGaussianModelWorkersBitIdentical(t *testing.T) {
+	var want []float64
+	for _, workers := range []int{1, 2, 3} {
+		g, err := NewGaussianModel(Config{Dim: 3, Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(6))
+		for q := 0; q < 30; q++ {
+			lo := make([]float64, 3)
+			hi := make([]float64, 3)
+			for d := range lo {
+				a, b := rng.Float64(), rng.Float64()
+				lo[d], hi[d] = math.Min(a, b), math.Max(a, b)
+			}
+			if err := g.Observe(geom.NewBox(lo, hi), rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Train(); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = g.weights
+			continue
+		}
+		if len(g.weights) != len(want) {
+			t.Fatalf("workers=%d: %d weights, want %d", workers, len(g.weights), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(g.weights[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d: weight %d = %v, want %v", workers, i, g.weights[i], want[i])
+			}
 		}
 	}
 }

@@ -59,13 +59,13 @@ type Config struct {
 	// internal/qp, standing in for the "Standard QP" baseline in Figure 6
 	// and the solver ablation. Off by default (analytic solve).
 	UseIterativeSolver bool `json:"use_iterative_solver,omitempty"`
-	// Workers bounds the goroutines used by Train's parallel kernels
-	// (Q-matrix assembly, the Gram product, the blocked Cholesky):
-	// 0 = GOMAXPROCS, 1 = sequential. Every worker count produces
-	// bit-identical subpopulation weights; the knob trades cores for wall
-	// clock only. It is persisted anyway, so a restored model (and the
-	// serving daemon's snapshot-clone retraining path) keeps the operator's
-	// parallelism cap.
+	// Workers bounds the goroutines used by Train's parallel kernels (the
+	// nearest-center radii, Q-matrix assembly, the Gram product, the blocked
+	// Cholesky), in GaussianModel as in Model: 0 = GOMAXPROCS, 1 =
+	// sequential. Every worker count produces bit-identical subpopulation
+	// weights; the knob trades cores for wall clock only. It is persisted
+	// anyway, so a restored model (and the serving daemon's snapshot-clone
+	// retraining path) keeps the operator's parallelism cap.
 	Workers int `json:"workers,omitempty"`
 	// WarmStart keeps the analytic solver's Cholesky factorization (and its
 	// ridge) between training runs. While the subpopulation set is frozen —
@@ -434,7 +434,7 @@ func (m *Model) sampleCenters(target int) [][]float64 {
 // distance to the NearestCenters closest other centers (§3.3 step 3) so
 // neighbouring subpopulations slightly overlap.
 func (m *Model) sizeSubpopulations(centers [][]float64) []geom.Box {
-	radii := centerRadii(centers, m.cfg.NearestCenters)
+	radii := centerRadii(centers, m.cfg.NearestCenters, m.cfg.Workers)
 	boxes := make([]geom.Box, len(centers))
 	for i, c := range centers {
 		hw := make([]float64, m.cfg.Dim)

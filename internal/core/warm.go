@@ -31,6 +31,10 @@ const (
 	// full refactorization every ~2m edits keeps the drift far below the
 	// solver tolerance the property tests pin.
 	warmMaxEditsFactor = 2
+	// warmSweepRows caps the new observations folded per sweep of the
+	// factor, which holds the sweep's rows and rotations to O(64·m) floats
+	// however large the batch; successive sweeps give the bits of one.
+	warmSweepRows = 64
 )
 
 // warmDelta is one pending edit against the observation prefix already
@@ -95,9 +99,10 @@ func (m *Model) constraintRowInto(row []float64, b geom.Box) {
 	}
 }
 
-// trainIncremental folds the pending coreset deltas and the new observation
-// suffix into the warm factorization and re-solves. On error the warm state
-// is stale; the caller falls back to the full path, which drops it.
+// trainIncremental folds the pending coreset deltas, one at a time, and then
+// the new observation suffix, up to warmSweepRows rows per sweep, into the
+// warm factorization and re-solves. On error the warm state is stale; the caller falls back to the
+// full path, which drops it.
 func (m *Model) trainIncremental() error {
 	row := make([]float64, len(m.invVol))
 	for _, d := range m.warmDeltas {
@@ -108,10 +113,18 @@ func (m *Model) trainIncremental() error {
 			return err
 		}
 	}
-	for i := m.warmObs; i < len(m.observations); i++ {
-		o := &m.observations[i]
-		m.constraintRowInto(row, o.box)
-		m.warm.AddRow(row, o.sel, o.weight)
+	for suffix := m.observations[m.warmObs:]; len(suffix) > 0; {
+		chunk := suffix[:min(len(suffix), warmSweepRows)]
+		suffix = suffix[len(chunk):]
+		rows := make([][]float64, len(chunk))
+		sels := make([]float64, len(chunk))
+		weights := make([]float64, len(chunk))
+		for r := range chunk {
+			rows[r] = make([]float64, len(m.invVol))
+			m.constraintRowInto(rows[r], chunk[r].box)
+			sels[r], weights[r] = chunk[r].sel, chunk[r].weight
+		}
+		m.warm.AddRows(rows, sels, weights)
 	}
 	w := m.warm.Solve()
 	for _, v := range w {

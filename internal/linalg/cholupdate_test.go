@@ -68,6 +68,71 @@ func TestUpdateMatchesRefactorization(t *testing.T) {
 	}
 }
 
+// referenceUpdate is the single-vector rank-1 sweep the multi-vector
+// Update replaced: one Givens rotation per column, rotations applied lazily
+// row by row. Update with several vectors must equal successive calls of it
+// bit for bit.
+func referenceUpdate(c *Cholesky, v []float64) {
+	n, l := c.n, c.l
+	cs := make([]float64, n)
+	sn := make([]float64, n)
+	for i := 0; i < n; i++ {
+		li := l[i*n : i*n+i+1]
+		wi := v[i]
+		for j := 0; j < i; j++ {
+			t := cs[j]*li[j] + sn[j]*wi
+			wi = cs[j]*wi - sn[j]*li[j]
+			li[j] = t
+		}
+		r := math.Hypot(li[i], wi)
+		cs[i] = li[i] / r
+		sn[i] = wi / r
+		li[i] = r
+	}
+}
+
+// One Update call with k vectors equals k successive single-vector sweeps
+// bit for bit, for every remainder of the four-wide interleave, and leaves
+// the vectors unmodified.
+func TestUpdateManyBitIdenticalToSuccessive(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 64, 129, 300} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		base, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 9; k++ {
+			vs := make([][]float64, k)
+			for r := range vs {
+				vs[r] = randomVec(rng, float64(n), 2)
+			}
+			kept := make([][]float64, k)
+			for r, v := range vs {
+				kept[r] = append([]float64(nil), v...)
+			}
+			want := base.Clone()
+			for _, v := range vs {
+				referenceUpdate(want, v)
+			}
+			got := base.Clone()
+			got.Update(vs...)
+			for i := range want.l {
+				if math.Float64bits(got.l[i]) != math.Float64bits(want.l[i]) {
+					t.Fatalf("n=%d k=%d: L[%d][%d] = %v, want %v (successive updates)",
+						n, k, i/n, i%n, got.l[i], want.l[i])
+				}
+			}
+			for r := range vs {
+				for i := range vs[r] {
+					if math.Float64bits(vs[r][i]) != math.Float64bits(kept[r][i]) {
+						t.Fatalf("n=%d k=%d: Update modified vector %d", n, k, r)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDowndateUndoesUpdate(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
 		for _, n := range []int{2, 7, 25} {

@@ -1,9 +1,12 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"quicksel/internal/par"
 )
 
 // referenceCholesky is the textbook unblocked left-looking factorization the
@@ -45,8 +48,12 @@ func referenceCholesky(m *Matrix) ([]float64, error) {
 }
 
 // Sizes straddle the block width so partial panels, exact panels, and
-// multi-panel trailing updates are all exercised.
-var choleskySizes = []int{1, 2, 5, choleskyBlock - 1, choleskyBlock, choleskyBlock + 1, 3 * choleskyBlock, 200}
+// multi-panel trailing updates are all exercised, and mix odd and even
+// sizes so every remainder of the tiled kernels occurs: an odd row left
+// after the row pairs, and zero, one or two columns left after a pair's
+// 2×3 tiles.
+var choleskySizes = []int{1, 2, 3, 5, choleskyBlock - 1, choleskyBlock, choleskyBlock + 1,
+	2*choleskyBlock + 1, 3 * choleskyBlock, 200, 257, 513}
 
 func TestBlockedCholeskyBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -108,6 +115,24 @@ func TestAddScaledGramWorkersBitIdentical(t *testing.T) {
 			if got2.Data[i] != want.Data[i] || got8.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%d: element %d differs across worker counts", rows, cols, i)
 			}
+		}
+	}
+}
+
+// BenchmarkCholeskyFactor times one blocked factorization — the diagonal
+// blocks, the panel solves and the register-tiled trailing update — at one
+// worker and at GOMAXPROCS.
+func BenchmarkCholeskyFactor(b *testing.B) {
+	for _, n := range []int{250, 1000} {
+		m := randomSPD(rand.New(rand.NewSource(15)), n)
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, par.Workers(workers)), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := NewCholeskyWorkers(m, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

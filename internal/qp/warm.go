@@ -35,18 +35,34 @@ func (ws *WarmState) Edits() int { return ws.edits }
 // AddRow folds one weighted constraint row (a, s, w) into the system:
 // M += λw·aaᵀ, rhs += λw·s·a. a is not modified.
 func (ws *WarmState) AddRow(a []float64, s, weight float64) {
-	scale := ws.lambda * weight
-	root := math.Sqrt(scale)
-	u := make([]float64, len(a))
-	for i, v := range a {
-		u[i] = root * v
+	ws.AddRows([][]float64{a}, []float64{s}, []float64{weight})
+}
+
+// AddRows folds the constraint rows (a[r], s[r], weight[r]) in order, with
+// the bits successive AddRow calls would give, in one sweep of the factor
+// (linalg.Cholesky.Update) instead of one per row. The rows are not
+// modified.
+func (ws *WarmState) AddRows(a [][]float64, s, weight []float64) {
+	if len(s) != len(a) || len(weight) != len(a) {
+		panic(fmt.Sprintf("qp: AddRows of %d rows with %d selectivities and %d weights", len(a), len(s), len(weight)))
 	}
-	ws.chol.Update(u)
-	rs := scale * s
-	for i, v := range a {
-		ws.rhs[i] += rs * v
+	us := make([][]float64, len(a))
+	for r, row := range a {
+		root := math.Sqrt(ws.lambda * weight[r])
+		u := make([]float64, len(row))
+		for i, v := range row {
+			u[i] = root * v
+		}
+		us[r] = u
 	}
-	ws.edits++
+	ws.chol.Update(us...)
+	for r, row := range a {
+		rs := ws.lambda * weight[r] * s[r]
+		for i, v := range row {
+			ws.rhs[i] += rs * v
+		}
+	}
+	ws.edits += len(a)
 }
 
 // RemoveRow subtracts a previously added constraint row: M −= λw·aaᵀ,

@@ -3,6 +3,7 @@ package qp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"quicksel/internal/linalg"
@@ -223,5 +224,83 @@ func TestWarmCloneIsIndependent(t *testing.T) {
 	}
 	if cl.Edits() != 0 || ws.Edits() != 1 {
 		t.Fatalf("edits: clone=%d orig=%d", cl.Edits(), ws.Edits())
+	}
+}
+
+// factorBits returns the bits of the warm state's Cholesky factor, read by
+// reflection because linalg keeps the factor's storage unexported.
+func factorBits(ws *WarmState) []uint64 {
+	l := reflect.ValueOf(ws.chol).Elem().FieldByName("l")
+	bits := make([]uint64, l.Len())
+	for i := range bits {
+		bits[i] = math.Float64bits(l.Index(i).Float())
+	}
+	return bits
+}
+
+// randomRows returns k constraint rows of length m with their selectivities
+// and weights (1, 2 or 3, so the √weight scaling is exercised).
+func randomRows(rng *rand.Rand, k, m int) (rows [][]float64, sels, weights []float64) {
+	rows = make([][]float64, k)
+	sels = make([]float64, k)
+	weights = make([]float64, k)
+	for r := range rows {
+		rows[r] = make([]float64, m)
+		for j := range rows[r] {
+			rows[r][j] = rng.Float64()
+		}
+		sels[r], weights[r] = rng.Float64(), float64(1+r%3)
+	}
+	return rows, sels, weights
+}
+
+// Folding a suffix of rows in one AddRows call leaves the factor and the
+// right-hand side with exactly the bits of adding the rows one at a time.
+func TestWarmAddRowsBitIdenticalToAddRow(t *testing.T) {
+	for _, m := range []int{1, 7, 60} {
+		for _, k := range []int{1, 3, 4, 5, 9, 16} {
+			rng := rand.New(rand.NewSource(int64(100*m + k)))
+			_, base, err := SolveAnalytic(warmProblem(rng, m, m/2+1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, sels, weights := randomRows(rng, k, m)
+			want := base.Clone()
+			for r := range rows {
+				want.AddRow(rows[r], sels[r], weights[r])
+			}
+			got := base.Clone()
+			got.AddRows(rows, sels, weights)
+			if !reflect.DeepEqual(factorBits(got), factorBits(want)) {
+				t.Fatalf("m=%d k=%d: factor differs from successive AddRow", m, k)
+			}
+			for i := range want.rhs {
+				if math.Float64bits(got.rhs[i]) != math.Float64bits(want.rhs[i]) {
+					t.Fatalf("m=%d k=%d: rhs[%d] = %v, want %v", m, k, i, got.rhs[i], want.rhs[i])
+				}
+			}
+			if got.Edits() != k {
+				t.Fatalf("m=%d k=%d: edits = %d", m, k, got.Edits())
+			}
+		}
+	}
+}
+
+// BenchmarkWarmAddRows folds a batch of 64 constraint rows into the warm
+// state of an m=1000 system: one multi-vector sweep of the factor.
+func BenchmarkWarmAddRows(b *testing.B) {
+	const m, batch = 1000, 64
+	rng := rand.New(rand.NewSource(16))
+	_, base, err := SolveAnalytic(warmProblem(rng, m, m/10, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, sels, weights := randomRows(rng, batch, m)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ws := base.Clone()
+		b.StartTimer()
+		ws.AddRows(rows, sels, weights)
 	}
 }

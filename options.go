@@ -106,7 +106,8 @@ func WithIterativeSolver() Option {
 }
 
 // WithWorkers bounds the goroutines used by the parallel training kernels
-// (Q-matrix assembly, the Gram product, the blocked Cholesky). 0 — the
+// (the nearest-center radii, Q-matrix assembly, the Gram product, the
+// blocked Cholesky). 0 — the
 // default — uses GOMAXPROCS; 1 forces the sequential path. Every worker
 // count produces bit-identical weights, so the knob trades cores for
 // training wall clock without affecting estimates or snapshots. It caps

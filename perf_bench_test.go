@@ -1,9 +1,9 @@
 // Micro-benchmarks for the two hot paths this repository optimizes: the
-// quadratic-program training kernel (parallel Q/A assembly, Gram product,
-// blocked Cholesky) and the compiled allocation-free estimate loop. They
-// complement the paper-artifact benchmarks in bench_test.go: those reproduce
-// figures, these track raw kernel throughput across the m (subpopulations)
-// and d (dimensions) axes.
+// quadratic-program training kernel (parallel nearest-center radii, Q/A
+// assembly, Gram product, register-tiled blocked Cholesky) and the compiled
+// allocation-free estimate loop. They complement the paper-artifact
+// benchmarks in bench_test.go: those reproduce figures, these track raw
+// kernel throughput across the m (subpopulations) and d (dimensions) axes.
 //
 // CI runs the m=250 variants once per push (-benchtime=1x) so the benchmark
 // code cannot rot; cmd/quickselbench's perf subcommand runs the full matrix
