@@ -81,3 +81,34 @@ func TestObservationCodec(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBoxesWhere drives arbitrary WHERE text through Parse and lowers what
+// parses both ways: Boxes must return the reference lowering's boxes, bit
+// for bit and in the same order (sameBoxes).
+func FuzzBoxesWhere(f *testing.F) {
+	s := propSchema()
+	for _, w := range []string{
+		"x >= 2.5 AND y < 1",
+		"x >= -0 OR n < 7",
+		"n BETWEEN 3.5 AND 7 OR cat IN (1, 2.5, 3)",
+		"NOT (x < 5 OR n != 4)",
+		"cat = 2 AND NOT (y >= 0 AND x <= 10)",
+		"(x > 1 OR y < -2) AND NOT n BETWEEN -1 AND 25",
+		"n > 3 AND n < 3 AND x >= 1e9",
+		"TRUE AND NOT TRUE OR y <= -5",
+	} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, w string) {
+		if len(w) > 512 {
+			t.Skip("input over 512 bytes")
+		}
+		p, err := Parse(s, w)
+		if err != nil {
+			return
+		}
+		if msg, ok := sameBoxes(p, s); !ok {
+			t.Fatalf("%q parses to %s: %s", w, p, msg)
+		}
+	})
+}

@@ -20,7 +20,12 @@ package predicate
 // Categorical columns, "c = k" lowers to [k, k+1) and "c != k" to its
 // complement; on Real columns equality selects a degenerate interval and
 // parses as an error, since its selectivity is 0 under any continuous
-// model.
+// model. On a discrete column every comparison becomes a half-open
+// interval with integral ends, covering exactly the values SQL selects,
+// whatever the literal: "c >= v", "c < v" and BETWEEN's lower bound use
+// ceil(v), and "c > v", "c <= v" and BETWEEN's upper bound floor(v)+1. So
+// "c = v" with a fractional v selects nothing, "c != v" everything, and IN
+// drops its fractional values.
 
 import (
 	"fmt"
@@ -265,10 +270,8 @@ func (p *parser) parseCmp() (*Predicate, error) {
 		if hi < lo {
 			return nil, p.errf("BETWEEN bounds inverted: %g > %g", lo, hi)
 		}
-		// SQL BETWEEN is inclusive; on discrete columns the upper value k
-		// maps to [k, k+1), on real columns the closed/half-open
-		// distinction has measure zero.
-		return Range(col, lo, p.upperInclusive(col, hi)), nil
+		// SQL BETWEEN is inclusive at both ends.
+		return Range(col, p.atOrAbove(col, lo), p.above(col, hi)), nil
 	case p.keyword("in"):
 		p.next()
 		if p.tok.kind != tokLParen {
@@ -281,7 +284,9 @@ func (p *parser) parseCmp() (*Predicate, error) {
 			if err != nil {
 				return nil, err
 			}
-			vals = append(vals, v)
+			if v == math.Trunc(v) { // a fractional value matches no row
+				vals = append(vals, v)
+			}
 			if p.tok.kind == tokComma {
 				p.next()
 				continue
@@ -317,33 +322,38 @@ func (p *parser) buildCmp(col int, op string, v float64) (*Predicate, error) {
 		if !discrete {
 			return nil, p.errf("equality requires a discrete column, %q is real", p.schema.Cols[col].Name)
 		}
-		return Eq(col, v), nil
+		return Range(col, p.atOrAbove(col, v), p.above(col, v)), nil
 	case "!=", "<>":
 		if !discrete {
 			return nil, p.errf("inequality requires a discrete column, %q is real", p.schema.Cols[col].Name)
 		}
-		return Not(Eq(col, v)), nil
+		return Not(Range(col, p.atOrAbove(col, v), p.above(col, v))), nil
 	case "<":
-		return AtMost(col, v), nil
+		return AtMost(col, p.atOrAbove(col, v)), nil
 	case "<=":
-		return AtMost(col, p.upperInclusive(col, v)), nil
+		return AtMost(col, p.above(col, v)), nil
 	case ">":
-		// Strict: on discrete columns c > k means c >= k+1; on real columns
-		// the boundary has measure zero.
-		if discrete {
-			return AtLeast(col, math.Floor(v)+1), nil
-		}
-		return AtLeast(col, v), nil
+		return AtLeast(col, p.above(col, v)), nil
 	case ">=":
-		return AtLeast(col, v), nil
+		return AtLeast(col, p.atOrAbove(col, v)), nil
 	default:
 		return nil, p.errf("unknown operator %q", op)
 	}
 }
 
-// upperInclusive converts an inclusive upper bound into the half-open
-// representation: k → k+1 on discrete columns, identity on real columns.
-func (p *parser) upperInclusive(col int, v float64) float64 {
+// atOrAbove returns where the values at or above v start: ceil(v) on a
+// discrete column, v on a real one. The + 0 turns the −0 that math.Ceil
+// returns for a value in (−1, 0) into +0.
+func (p *parser) atOrAbove(col int, v float64) float64 {
+	if p.schema.Cols[col].Kind != Real {
+		return math.Ceil(v) + 0
+	}
+	return v
+}
+
+// above returns where the values strictly above v start: floor(v)+1 on a
+// discrete column, v on a real one, where the boundary has measure zero.
+func (p *parser) above(col int, v float64) float64 {
 	if p.schema.Cols[col].Kind != Real {
 		return math.Floor(v) + 1
 	}

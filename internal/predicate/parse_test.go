@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,6 +136,58 @@ func TestParseDiscreteSemantics(t *testing.T) {
 	// != selects the other 49.
 	if v := parseVolume(t, s, "state != 3"); math.Abs(v-0.98) > 1e-12 {
 		t.Errorf("state != 3 volume = %g, want 0.98", v)
+	}
+}
+
+// On a discrete column a comparison covers whole cells [k, k+1), one per
+// integer SQL selects, whatever the literal: the lowered volume in cells
+// equals the number of integers in [0, 99] for which the comparison holds.
+func TestParseFractionalLiteralsOnDiscreteColumn(t *testing.T) {
+	s := MustSchema(Column{Name: "age", Kind: Integer, Min: 0, Max: 99})
+	lits := []float64{29.5, 30, 30.5}
+	type tc struct {
+		where string
+		holds func(k float64) bool
+	}
+	var cases []tc
+	ops := map[string]func(k, v float64) bool{
+		"=":  func(k, v float64) bool { return k == v },
+		"!=": func(k, v float64) bool { return k != v },
+		"<>": func(k, v float64) bool { return k != v },
+		"<":  func(k, v float64) bool { return k < v },
+		"<=": func(k, v float64) bool { return k <= v },
+		">":  func(k, v float64) bool { return k > v },
+		">=": func(k, v float64) bool { return k >= v },
+	}
+	for op, cmp := range ops {
+		for _, v := range lits {
+			cases = append(cases,
+				tc{fmt.Sprintf("age %s %g", op, v), func(k float64) bool { return cmp(k, v) }},
+				tc{fmt.Sprintf("%g %s age", v, op), func(k float64) bool { return cmp(v, k) }})
+		}
+	}
+	for i, lo := range lits {
+		for _, hi := range lits[i:] {
+			cases = append(cases, tc{fmt.Sprintf("age BETWEEN %g AND %g", lo, hi), func(k float64) bool { return k >= lo && k <= hi }})
+		}
+	}
+	for _, in := range [][]float64{{29.5}, {30}, {30.5}, lits} {
+		vals := make([]string, len(in))
+		for i, v := range in {
+			vals[i] = fmt.Sprint(v)
+		}
+		cases = append(cases, tc{"age IN (" + strings.Join(vals, ", ") + ")", func(k float64) bool { return slices.Contains(in, k) }})
+	}
+	for _, c := range cases {
+		want := 0
+		for k := 0.0; k <= 99; k++ {
+			if c.holds(k) {
+				want++
+			}
+		}
+		if got := parseVolume(t, s, c.where) * 100; math.Abs(got-float64(want)) > 1e-9 {
+			t.Errorf("%s: %g cells, want the %d integers SQL selects", c.where, got, want)
+		}
 	}
 }
 

@@ -29,6 +29,13 @@ type Constraint struct {
 	Hi  float64
 }
 
+// clamp returns the constraint's bounds clamped to its column's domain: an
+// open (±Inf) or out-of-domain side takes the domain's end.
+func (c Constraint) clamp(s *Schema) (lo, hi float64) {
+	dLo, dHi := s.Cols[c.Col].domain()
+	return max(c.Lo, dLo), min(c.Hi, dHi)
+}
+
 // Predicate is an immutable boolean expression tree over range constraints.
 // Build predicates with All, Range, AtLeast, AtMost, Eq, In, And, Or, Not.
 type Predicate struct {
@@ -124,46 +131,31 @@ func (p *Predicate) String() string {
 
 // Boxes lowers the predicate into a set of pairwise-disjoint boxes in the
 // normalized unit cube [0,1)^dim(schema). The union of the returned boxes is
-// exactly the region the predicate selects. An error is reported for nil
-// predicates, out-of-range column references and NaN bounds.
+// exactly the region the predicate selects. Lowering folds the tree over
+// boxes starting from the unit cube, so a conjunction of any length narrows
+// one box. Every node is checked: a nil node, an out-of-range column
+// reference or a NaN bound is an error even where an earlier conjunct
+// already selects nothing.
 func (p *Predicate) Boxes(s *Schema) ([]geom.Box, error) {
-	raw, err := p.lower(s)
-	if err != nil {
-		return nil, err
+	boxes, err := p.lower(s, []geom.Box{geom.Unit(s.Dim())})
+	if err != nil || len(boxes) < 2 {
+		return boxes, err
 	}
-	return geom.Disjointify(raw), nil
+	return geom.Disjointify(boxes), nil
 }
 
-// Box lowers a conjunctive predicate to its single bounding box. It returns
-// an error if the predicate does not lower to exactly one box (i.e. it
-// contains disjunctions or negations with non-rectangular complements).
-// QuickSel's fast path (§3.2) consumes single boxes.
-func (p *Predicate) Box(s *Schema) (geom.Box, error) {
-	boxes, err := p.Boxes(s)
-	if err != nil {
-		return geom.Box{}, err
-	}
-	switch len(boxes) {
-	case 0:
-		// Empty selection: a zero-volume box at the origin.
-		return geom.NewBox(make([]float64, s.Dim()), make([]float64, s.Dim())), nil
-	case 1:
-		return boxes[0], nil
-	default:
-		return geom.Box{}, fmt.Errorf("predicate: %s lowers to %d boxes, not a hyperrectangle", p, len(boxes))
-	}
-}
-
-// lower produces a (possibly overlapping) set of boxes for the predicate.
-// A nil node, at the top or nested, is an error.
-func (p *Predicate) lower(s *Schema) ([]geom.Box, error) {
+// lower intersects boxes, which the caller owns and which share no storage,
+// with the predicate's region. The result lists, for each incoming box in
+// order, its non-empty intersections with the region's boxes in order. A
+// leaf narrows the boxes in place; a disjunction or negation lowers its
+// children from the unit cube and intersects with what they return.
+func (p *Predicate) lower(s *Schema, boxes []geom.Box) ([]geom.Box, error) {
 	if p == nil {
 		return nil, errors.New("predicate: nil predicate")
 	}
-	unit := geom.Unit(s.Dim())
 	switch p.k {
 	case kindAll:
-		return []geom.Box{unit}, nil
+		return boxes, nil
 	case kindLeaf:
 		c := p.leaf
 		if c.Col < 0 || c.Col >= s.Dim() {
@@ -172,58 +164,52 @@ func (p *Predicate) lower(s *Schema) ([]geom.Box, error) {
 		if math.IsNaN(c.Lo) || math.IsNaN(c.Hi) {
 			return nil, fmt.Errorf("predicate: NaN bound on column %d", c.Col)
 		}
-		lo, hi := c.Lo, c.Hi
-		dLo, dHi := s.Cols[c.Col].domain()
-		if math.IsInf(lo, -1) || lo < dLo {
-			lo = dLo
-		}
-		if math.IsInf(hi, 1) || hi > dHi {
-			hi = dHi
-		}
+		lo, hi := c.clamp(s)
 		if hi <= lo {
-			return nil, nil // empty selection
+			return boxes[:0], nil // empty selection
 		}
-		b := unit.Clone()
-		b.Lo[c.Col] = s.Normalize(c.Col, lo)
-		b.Hi[c.Col] = s.Normalize(c.Col, hi)
-		return []geom.Box{b}, nil
+		lo, hi = s.Normalize(c.Col, lo), s.Normalize(c.Col, hi)
+		kept := boxes[:0]
+		for _, b := range boxes {
+			// geom.Box.Intersect's arithmetic and empty test on the one
+			// column the leaf constrains, so the box keeps the same bits.
+			b.Lo[c.Col] = math.Max(b.Lo[c.Col], lo)
+			b.Hi[c.Col] = math.Min(b.Hi[c.Col], hi)
+			if b.Hi[c.Col] <= b.Lo[c.Col] {
+				continue
+			}
+			kept = append(kept, b)
+		}
+		return kept, nil
 	case kindAnd:
-		acc := []geom.Box{unit}
+		var err error
 		for _, kid := range p.kids {
-			kb, err := kid.lower(s)
+			if boxes, err = kid.lower(s, boxes); err != nil {
+				return nil, err
+			}
+		}
+		return boxes, nil
+	case kindOr, kindNot:
+		var region []geom.Box
+		for _, kid := range p.kids {
+			kb, err := kid.lower(s, []geom.Box{geom.Unit(s.Dim())})
 			if err != nil {
 				return nil, err
 			}
-			var next []geom.Box
-			for _, a := range acc {
-				for _, b := range kb {
-					if inter, ok := a.Intersect(b); ok {
-						next = append(next, inter)
-					}
+			region = append(region, kb...)
+		}
+		if p.k == kindNot {
+			region = geom.SubtractAll(geom.Unit(s.Dim()), region)
+		}
+		var out []geom.Box
+		for _, a := range boxes {
+			for _, r := range region {
+				if inter, ok := a.Intersect(r); ok {
+					out = append(out, inter)
 				}
 			}
-			acc = next
-			if len(acc) == 0 {
-				return nil, nil
-			}
 		}
-		return acc, nil
-	case kindOr:
-		var acc []geom.Box
-		for _, kid := range p.kids {
-			kb, err := kid.lower(s)
-			if err != nil {
-				return nil, err
-			}
-			acc = append(acc, kb...)
-		}
-		return acc, nil
-	case kindNot:
-		kb, err := p.kids[0].lower(s)
-		if err != nil {
-			return nil, err
-		}
-		return geom.SubtractAll(unit, kb), nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("predicate: unknown node kind %d", p.k)
 	}
@@ -237,16 +223,8 @@ func (p *Predicate) Matches(s *Schema, tuple []float64) bool {
 	case kindAll:
 		return true
 	case kindLeaf:
-		c := p.leaf
-		v := tuple[c.Col]
-		lo, hi := c.Lo, c.Hi
-		dLo, dHi := s.Cols[c.Col].domain()
-		if math.IsInf(lo, -1) || lo < dLo {
-			lo = dLo
-		}
-		if math.IsInf(hi, 1) || hi > dHi {
-			hi = dHi
-		}
+		lo, hi := p.leaf.clamp(s)
+		v := tuple[p.leaf.Col]
 		return v >= lo && v < hi
 	case kindAnd:
 		for _, kid := range p.kids {

@@ -296,7 +296,6 @@ type Registry struct {
 	mu         sync.RWMutex
 	estimators map[string]*estimatorState
 
-	wake      chan struct{}
 	driftWake chan struct{} // drift alarms bypass the debounce entirely
 	done      chan struct{}
 	wg        sync.WaitGroup
@@ -384,7 +383,6 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	reg := &Registry{
 		cfg:        cfg.withDefaults(),
 		estimators: map[string]*estimatorState{},
-		wake:       make(chan struct{}, 1),
 		driftWake:  make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		start:      time.Now(),
@@ -815,8 +813,6 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 		case r.driftWake <- struct{}{}:
 		default:
 		}
-	} else if room > 0 {
-		r.kick()
 	}
 	return estimates, backlog, room, nil
 }
@@ -884,14 +880,6 @@ func (r *Registry) Train(name string) error {
 	return r.flushAndTrain(st)
 }
 
-// kick nudges the training worker without blocking.
-func (r *Registry) kick() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
-}
-
 // trainLoop is the registry's one background worker. While the registry
 // is primary, every TrainInterval it retrains all estimators with pending
 // observations (the interval is the debounce — a burst of observations
@@ -913,27 +901,21 @@ func (r *Registry) trainLoop() {
 		defer snap.Stop()
 		snapC = snap.C
 	}
-	dirty := false
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-r.wake:
-			// Debounce: note the work, let the next tick do it.
-			dirty = true
 		case <-r.driftWake:
 			if !r.IsPrimary() {
 				continue
 			}
-			dirty = false
 			if r.trainAll() {
 				return
 			}
 		case <-ticker.C:
-			if !r.IsPrimary() || (!dirty && !r.anyPending()) {
+			if !r.IsPrimary() || !r.anyPending() {
 				continue
 			}
-			dirty = false
 			if r.trainAll() {
 				return
 			}

@@ -152,9 +152,9 @@ func (r *Registry) ReplicationResume() uint64 {
 	return r.wal.LastSeq() + 1
 }
 
-// Promote flips a follower to the primary role and wakes the background
-// worker, so the replicated observations buffered during followership
-// train on its next tick. It reports whether a flip happened; promoting a
+// Promote flips a follower to the primary role, so the background worker's
+// next tick trains the replicated observations buffered during
+// followership. It reports whether a flip happened; promoting a
 // primary is a no-op. The caller must stop feeding Replicate first (the
 // daemon stops the fetch loop before calling this).
 func (r *Registry) Promote() (promoted bool, err error) {
@@ -169,7 +169,6 @@ func (r *Registry) Promote() (promoted bool, err error) {
 	r.log.Info("promoted to primary",
 		slog.Uint64("applied", r.replApplied.Load()),
 		slog.Uint64("last_seq", r.ReplicationResume()-1))
-	r.kick()
 	return true, nil
 }
 
@@ -413,12 +412,7 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, fmt.Errorf("max_bytes must be a positive integer"))
 			return
 		}
-		if n < maxBytes {
-			maxBytes = n
-		}
-		if n > MaxReplicationBatchBytes {
-			maxBytes = MaxReplicationBatchBytes
-		}
+		maxBytes = min(n, MaxReplicationBatchBytes)
 	}
 	// Fetching from=N acknowledges every record below N as applied.
 	s.reg.UpdateFollowerAck(q.Get("follower"), from-1)

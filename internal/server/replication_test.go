@@ -569,6 +569,41 @@ func TestReplicationEndpoints(t *testing.T) {
 	}
 }
 
+// A fetch's max_bytes bounds its response up to MaxReplicationBatchBytes,
+// above the default as well as below it. The bound is soft: a fetch stops
+// after the first frame that reaches it.
+func TestReplicationWALHonoursMaxBytes(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{WALDir: filepath.Join(dir, "wal"), TrainInterval: time.Hour})
+	defer srv.Close()
+	// 12 MiB of audit records (a type replay ignores), 512 KiB each.
+	recs := make([]wal.Record, 24)
+	for i := range recs {
+		recs[i] = wal.Record{Type: 9, Payload: make([]byte, 512<<10)}
+	}
+	if _, err := srv.Registry().wal.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	for query, want := range map[string]string{
+		"":                   "8", // DefaultReplicationBatchBytes
+		"&max_bytes=1048576": "2",
+		"&max_bytes=8388608": "16",
+	} {
+		resp, err := http.Get(ts.URL + "/v1/replication/wal?from=1" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fetch%s: status %d", query, resp.StatusCode)
+		}
+		if got := resp.Header.Get(replica.HeaderLast); got != want {
+			t.Errorf("fetch%s ends at record %s, want %s", query, got, want)
+		}
+	}
+}
+
 func TestSnapshotEndpointWithoutPersistence(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{

@@ -218,9 +218,6 @@ func (r *Registry) replayWAL() error {
 			slog.Uint64("covered", covered),
 		)
 	}
-	if r.anyPending() {
-		r.kick() // wake is buffered; the worker starts right after replay
-	}
 	return nil
 }
 
@@ -257,8 +254,8 @@ func (r *Registry) replayObservation(seq uint64, name string, pred *quicksel.Pre
 
 	st.mu.Lock()
 	if fresh {
-		// No drift wake: replay kicks the trainer when it ends, and a
-		// follower does not train.
+		// No drift wake: the trainer's next tick finds what replay left
+		// pending, and a follower does not train.
 		st.sample(est, sel)
 		st.observedTotal++
 	}

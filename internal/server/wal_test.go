@@ -662,6 +662,7 @@ func TestObserveRejectsInvalidRecords(t *testing.T) {
 		{Pred: quicksel.Range(5, 0, 1), Sel: 0.2}, // no column 5
 		{Pred: nil, Sel: 0.2},
 		{Pred: quicksel.And(valid.Pred, nil), Sel: 0.2},
+		{Pred: quicksel.And(quicksel.Range(0, 5, 3), quicksel.Range(5, 0, 1)), Sel: 0.2}, // no column 5, after an empty conjunct
 	} {
 		if _, _, _, err := reg.ObserveParsed("bad", []ParsedObservation{valid, rec}); err == nil || !strings.HasPrefix(err.Error(), "observation 1: ") {
 			t.Errorf("ObserveParsed(%v, %g): error %v, want one naming observation 1", rec.Pred, rec.Sel, err)

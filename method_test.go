@@ -300,15 +300,20 @@ func TestEstimateBatchFailedFitNamesClauseZero(t *testing.T) {
 }
 
 // A nil predicate, at the top or nested, is an error from Observe, Estimate
-// and EstimateBatch on every method, not a panic; in the batch it sits at an
-// index a split batch hands to another goroutine.
+// and EstimateBatch on every method, not a panic, also after a conjunct
+// that selects nothing; in the batch it sits at an index a split batch
+// hands to another goroutine.
 func TestAllMethodsRejectNilPredicate(t *testing.T) {
 	atLeastTwoProcs(t)
+	afterEmpty := quicksel.And(quicksel.Range(0, 5, 3), nil)
 	nils := map[string]*quicksel.Predicate{
-		"top": nil,
-		"and": quicksel.And(quicksel.Range(0, 20, 40), nil),
-		"or":  quicksel.Or(quicksel.Range(0, 20, 40), nil),
-		"not": quicksel.Not(nil),
+		"top":             nil,
+		"and":             quicksel.And(quicksel.Range(0, 20, 40), nil),
+		"or":              quicksel.Or(quicksel.Range(0, 20, 40), nil),
+		"not":             quicksel.Not(nil),
+		"and after empty": afterEmpty,
+		"or after empty":  quicksel.Or(afterEmpty, quicksel.Range(0, 20, 40)),
+		"not after empty": quicksel.Not(afterEmpty),
 	}
 	for _, method := range quicksel.Methods() {
 		t.Run(method, func(t *testing.T) {
@@ -331,11 +336,18 @@ func TestAllMethodsRejectNilPredicate(t *testing.T) {
 }
 
 // A NaN bound is an error for every method, fresh (never trained) or
-// trained, from Observe, Estimate and EstimateBatch alike: compares would
-// read it as an open bound and arithmetic would carry it into a NaN
-// estimate.
+// trained, from Observe, Estimate and EstimateBatch alike, also after a
+// conjunct that selects nothing: compares would read it as an open bound
+// and arithmetic would carry it into a NaN estimate.
 func TestAllMethodsRejectNaNBounds(t *testing.T) {
-	nan := []*quicksel.Predicate{quicksel.Range(0, math.NaN(), 30), quicksel.AtMost(1, math.NaN())}
+	afterEmpty := quicksel.And(quicksel.Range(0, 5, 3), quicksel.Range(0, math.NaN(), 1))
+	nan := []*quicksel.Predicate{
+		quicksel.Range(0, math.NaN(), 30),
+		quicksel.AtMost(1, math.NaN()),
+		afterEmpty,
+		quicksel.Or(afterEmpty, quicksel.Range(0, 20, 40)),
+		quicksel.Not(afterEmpty),
+	}
 	for _, method := range quicksel.Methods() {
 		t.Run(method, func(t *testing.T) {
 			fresh, err := quicksel.New(testSchema(t), quicksel.WithMethod(method))
