@@ -159,12 +159,16 @@
 //
 // Serving compiles the trained model at Train time into an immutable form —
 // zero-weight subpopulations pruned, weights pre-divided by box volume,
-// bounds in contiguous arrays — so Estimate is an allocation-free loop that
-// writes nothing. Estimates hold the estimator lock shared: readers of one
-// estimator run side by side and wait only for writers (Observe, Train,
+// box corners held as the int64 bits of their float64 values in contiguous
+// arrays — so Estimate is an allocation-free loop that writes nothing.
+// Every corner lies in the unit cube, where floats order as their bits do,
+// so the loop picks each intersection with integer compares, bit-identical
+// to the float scan. Estimates hold the estimator lock shared: readers of
+// one estimator run side by side and wait only for writers (Observe, Train,
 // Snapshot) and for a pending lazy fit, which the estimate that finds it
 // pays alone. For many predicates at once, EstimateBatch and
-// EstimateBatchWhere parse and lower outside the lock, acquire it once per
-// batch and split the clauses over GOMAXPROCS goroutines, each answer
-// bit-identical to Estimate's. WithWorkers caps training only.
+// EstimateBatchWhere parse and lower outside the lock, split over
+// GOMAXPROCS goroutines, acquire it once per batch and split the clauses
+// over GOMAXPROCS goroutines again, each answer bit-identical to
+// Estimate's. WithWorkers caps training only.
 package quicksel

@@ -131,21 +131,28 @@ func TestSnapshotPreservesWorkers(t *testing.T) {
 	}
 }
 
-// The compiled estimate path must be allocation-free after training.
+// The compiled estimate path must be allocation-free after training, at
+// any dimension: the scan needs no scratch space.
 func TestEstimateAllocationFree(t *testing.T) {
-	m := mustModel(t, Config{Dim: 3, Seed: 11})
-	observeWorkload(t, m, 42, 20)
-	if err := m.Train(); err != nil {
-		t.Fatal(err)
-	}
-	box := geom.NewBox([]float64{0.1, 0.2, 0.3}, []float64{0.6, 0.7, 0.8})
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.Estimate(box); err != nil {
+	for _, d := range []int{3, 8, 17} {
+		m := mustModel(t, Config{Dim: d, Seed: 11})
+		observeWorkload(t, m, 42, 20)
+		if err := m.Train(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Estimate allocates %v objects per call, want 0", allocs)
+		lo, hi := make([]float64, d), make([]float64, d)
+		for k := range lo {
+			lo[k], hi[k] = 0.1+0.02*float64(k), 0.6+0.02*float64(k)
+		}
+		box := geom.NewBox(lo, hi)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := m.Estimate(box); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("d=%d: Estimate allocates %v objects per call, want 0", d, allocs)
+		}
 	}
 }
 

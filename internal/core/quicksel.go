@@ -178,8 +178,8 @@ type Model struct {
 	trained bool
 
 	// compiled is the immutable serving form of the trained state (zero
-	// weights pruned, weights pre-divided by volume, bounds in SoA arrays);
-	// nil when untrained, uniform, or all-zero-weight.
+	// weights pruned, weights pre-divided by volume, corners as int64 bits
+	// in flat arrays); nil when untrained, uniform, or all-zero-weight.
 	compiled *compiledModel
 
 	// Diagnostics for the experiment drivers.
@@ -523,10 +523,12 @@ func (m *Model) ensureTrained() error {
 // for Observe.
 //
 // The hot path is allocation-free and, on a trained model, writes nothing:
-// the raw query corners are evaluated against the compiled (pruned,
-// pre-divided, SoA) form of the trained mixture. No clip is needed because
-// every subpopulation lies inside the unit cube, so min and max against a
-// raw corner equal min and max against the clipped one.
+// the raw query corners are evaluated against the compiled form of the
+// trained mixture (pruned, pre-divided, its corners compared in integer
+// order; see compiledModel.estimate). The NaN check is that scan's
+// precondition. No clip is needed because every subpopulation lies inside
+// the unit cube, so the scan picks the same corners for a raw query corner
+// as for the clipped one.
 func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if box.Dim() != m.cfg.Dim {
 		return 0, fmt.Errorf("core: query box has dim %d, model has %d", box.Dim(), m.cfg.Dim)

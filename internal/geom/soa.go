@@ -3,10 +3,13 @@ package geom
 // This file implements BoxSet, a structure-of-arrays layout for a fixed
 // collection of same-dimensional boxes. The []Box representation chases a
 // pointer per box (each Box holds two heap slices); the hot training kernels
-// (Q-matrix assembly computes |G_i ∩ G_j| for all m²/2 pairs) and the
-// compiled serving path instead stream two contiguous float64 arrays, which
-// keeps the pair kernel memory-bound on cache lines rather than on pointer
-// dereferences.
+// (Q-matrix assembly computes |G_i ∩ G_j| for all m²/2 pairs, and each
+// constraint row one box against every subpopulation) instead stream two
+// contiguous float64 arrays, which keeps the pair kernel memory-bound on
+// cache lines rather than on pointer dereferences. Serving does not run
+// these kernels: internal/core compiles the trained subpopulations into an
+// integer-ordered form of its own, and tests hold that form to the float
+// kernel here bit for bit.
 //
 // Every numeric method mirrors the corresponding Box method exactly — same
 // ascending-dimension order, same early-outs — so converting a []Box to a
@@ -94,7 +97,7 @@ func (s *BoxSet) Volume(i int) float64 {
 }
 
 // IntersectionVolume returns |box i ∩ box j| allocation-free, bit-identical
-// to Box.IntersectionVolume on the same corners. It is the serving kernel
+// to Box.IntersectionVolume on the same corners: CornersIntersectionVolume
 // with box i's corners as the query.
 func (s *BoxSet) IntersectionVolume(i, j int) float64 {
 	d := s.dim
@@ -102,15 +105,15 @@ func (s *BoxSet) IntersectionVolume(i, j int) float64 {
 }
 
 // CornersIntersectionVolume returns the intersection volume of box i with
-// the box given by raw corner slices (len dim each). This is the serving
-// kernel: the query box arrives as its two corner slices, never as a Box.
+// the box given by raw corner slices (len dim each). It is training's
+// kernel, for Q assembly and for the constraint rows, and the reference
+// the compiled serving scan in internal/core is tested against; serving
+// does not call it.
 //
 // The builtin min and max compile to branch-free instructions, where a
-// compare and branch per bound would mispredict on serving traffic that
-// overlaps most kernels. Box i's corners are sliced to exactly dim elements
-// once so the loop needs no per-element bounds checks on them, and the body
-// must stay under the inliner's budget: compiledModel.estimate relies on
-// getting the loop inlined (go build -gcflags=-m ./internal/core shows it).
+// compare and branch per bound would mispredict on boxes that overlap most
+// others. Box i's corners are sliced to exactly dim elements once so the
+// loop needs no per-element bounds checks on them.
 func (s *BoxSet) CornersIntersectionVolume(i int, lo, hi []float64) float64 {
 	d := s.dim
 	blo, bhi := s.Lo[i*d:][:d], s.Hi[i*d:][:d]

@@ -80,9 +80,10 @@ func TestBoxSetMatchesBoxExactly(t *testing.T) {
 	}
 }
 
-// BenchmarkBoxSetCornersIntersectionVolume times the serving scan, one query
-// against every box of the set as compiledModel.estimate runs it, and reports
-// ns per kernel. The shapes are those of perfbench's point-small (d=2, 300
+// BenchmarkBoxSetCornersIntersectionVolume times the float kernel, one
+// query against every box of the set, and reports ns per kernel. Training
+// runs this kernel; serving runs the compiled integer scan, which
+// internal/core's BenchmarkCompiledEstimate times against it. The shapes are those of perfbench's point-small (d=2, 300
 // kernels) and batch-wide (d=8, 2000) models: the kernel side is the trained
 // model's mean, query sides span the workload's widths, and centres cluster
 // so that about as many pairs intersect as on that traffic (20% and 80%).

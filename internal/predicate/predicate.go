@@ -148,7 +148,8 @@ func (p *Predicate) Boxes(s *Schema) ([]geom.Box, error) {
 // with the predicate's region. The result lists, for each incoming box in
 // order, its non-empty intersections with the region's boxes in order. A
 // leaf narrows the boxes in place; a disjunction or negation lowers its
-// children from the unit cube and intersects with what they return.
+// children from the unit cube and intersects with what they return, or
+// returns that region itself when the one incoming box is the unit cube.
 func (p *Predicate) lower(s *Schema, boxes []geom.Box) ([]geom.Box, error) {
 	if p == nil {
 		return nil, errors.New("predicate: nil predicate")
@@ -201,6 +202,11 @@ func (p *Predicate) lower(s *Schema, boxes []geom.Box) ([]geom.Box, error) {
 		if p.k == kindNot {
 			region = geom.SubtractAll(geom.Unit(s.Dim()), region)
 		}
+		if len(boxes) == 1 && isUnit(boxes[0]) {
+			// Every region box lies in the unit cube, so intersecting it
+			// with the whole cube would only copy it.
+			return region, nil
+		}
 		var out []geom.Box
 		for _, a := range boxes {
 			for _, r := range region {
@@ -213,6 +219,16 @@ func (p *Predicate) lower(s *Schema, boxes []geom.Box) ([]geom.Box, error) {
 	default:
 		return nil, fmt.Errorf("predicate: unknown node kind %d", p.k)
 	}
+}
+
+// isUnit reports whether b spans the whole unit cube.
+func isUnit(b geom.Box) bool {
+	for k, lo := range b.Lo {
+		if lo != 0 || b.Hi[k] != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Matches evaluates the predicate against a raw tuple. This is the oracle

@@ -607,6 +607,22 @@ func TestConjunctionLowersToOneBox(t *testing.T) {
 	}
 }
 
+// A top-level disjunction returns its region's boxes as they are, where
+// intersecting each with the unit cube Boxes starts from would copy it: 21
+// allocations, against 27 with the copies.
+func TestTopLevelDisjunctionCopiesNoBox(t *testing.T) {
+	s := wideSchema()
+	p := Or(AtMost(0, 40), AtLeast(1, 60))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Boxes(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("Boxes allocates %v times for a two-leaf disjunction, want at most 24", allocs)
+	}
+}
+
 func BenchmarkBoxes(b *testing.B) {
 	s := wideSchema()
 	for _, bc := range []struct {

@@ -569,9 +569,9 @@ func TestReplicationEndpoints(t *testing.T) {
 	}
 }
 
-// A fetch's max_bytes bounds its response up to MaxReplicationBatchBytes,
-// above the default as well as below it. The bound is soft: a fetch stops
-// after the first frame that reaches it.
+// A fetch's max_bytes caps its response up to MaxReplicationBatchBytes,
+// above the default as well as below it: a fetch stops before the frame
+// that would pass the cap, so 512 KiB records ship 7 to 4 MiB, not 8.
 func TestReplicationWALHonoursMaxBytes(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newTestServer(t, Config{WALDir: filepath.Join(dir, "wal"), TrainInterval: time.Hour})
@@ -585,9 +585,9 @@ func TestReplicationWALHonoursMaxBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for query, want := range map[string]string{
-		"":                   "8", // DefaultReplicationBatchBytes
-		"&max_bytes=1048576": "2",
-		"&max_bytes=8388608": "16",
+		"":                   "7", // DefaultReplicationBatchBytes
+		"&max_bytes=1048576": "1",
+		"&max_bytes=8388608": "15",
 	} {
 		resp, err := http.Get(ts.URL + "/v1/replication/wal?from=1" + query)
 		if err != nil {

@@ -153,6 +153,53 @@ func TestCollectFramesMaxBytes(t *testing.T) {
 	}
 }
 
+// maxBytes is a cap: every collect of more than one record fits in it, and
+// stops only where the next record would not fit (or the range ends). Only
+// a lone first record may exceed it. The records vary in size and span
+// several segments, and the caps fall on, just below and just above frame
+// boundaries.
+func TestCollectFramesFitMaxBytes(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentSize: 700, Sync: SyncNever})
+	defer l.Close()
+	const n = 40
+	frameSize := make([]int, n+1) // by sequence number
+	for i := 1; i <= n; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, (i*37)%200)
+		if _, err := l.Append(Record{Type: 2, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		frameSize[i] = frameHeaderSize + frameBodyOverhead + len(payload)
+	}
+	check := func(from uint64, maxBytes int) {
+		t.Helper()
+		frames, first, last, err := l.CollectFrames(from, n, maxBytes)
+		if err != nil {
+			t.Fatalf("CollectFrames(%d, max %d): %v", from, maxBytes, err)
+		}
+		recs := decodeAll(t, frames)
+		if first != from || int(last-first)+1 != len(recs) {
+			t.Fatalf("CollectFrames(%d, max %d) = %d records [%d,%d]", from, maxBytes, len(recs), first, last)
+		}
+		if len(recs) > 1 && len(frames) > maxBytes {
+			t.Fatalf("CollectFrames(%d, max %d) = %d records in %d bytes, past the cap", from, maxBytes, len(recs), len(frames))
+		}
+		if last < n && len(frames)+frameSize[last+1] <= maxBytes {
+			t.Fatalf("CollectFrames(%d, max %d) stopped at %d with %d bytes, but record %d (%d bytes) fits", from, maxBytes, last, len(frames), last+1, frameSize[last+1])
+		}
+	}
+	for from := uint64(1); from <= n; from += 3 {
+		check(from, 1)
+		total := 0
+		for seq := from; seq <= n && total < 2000; seq++ {
+			total += frameSize[seq]
+			check(from, total-1)
+			check(from, total)
+			check(from, total+1)
+		}
+	}
+}
+
 func TestCollectFramesCompacted(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentSize: 64, Sync: SyncAlways})

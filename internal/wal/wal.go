@@ -807,9 +807,10 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 var errCollectDone = errors.New("wal: collect done")
 
 // CollectFrames re-frames retained records with from <= seq <= upTo into a
-// byte slice in the on-disk wire format, stopping once maxBytes is exceeded
-// (the first record is always included, so progress is guaranteed even when
-// one record outsizes the budget). It returns the framed bytes and the
+// byte slice in the on-disk wire format, stopping before the frame that
+// would take it past maxBytes. The first record is always included, so
+// progress is guaranteed even when one record outsizes the budget; past it,
+// the result never exceeds maxBytes. It returns the framed bytes and the
 // first and last sequence numbers included (0, 0 when none).
 //
 // It returns ErrCompacted when records at from have already been deleted by
@@ -855,15 +856,15 @@ func (l *Log) CollectFrames(from, upTo uint64, maxBytes int) (frames []byte, fir
 			if rec.Seq != expect || rec.Seq > upTo {
 				return errCollectDone
 			}
+			if first != 0 && len(frames)+frameHeaderSize+frameBodyOverhead+len(rec.Payload) > maxBytes {
+				return errCollectDone
+			}
 			frames = EncodeFrame(frames, rec)
 			if first == 0 {
 				first = rec.Seq
 			}
 			last = rec.Seq
 			expect++
-			if len(frames) >= maxBytes {
-				return errCollectDone
-			}
 			return nil
 		})
 		if serr != nil {

@@ -88,8 +88,9 @@ func BenchmarkTrainSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimate times the compiled serving loop: one multiply-add per
-// retained subpopulation over SoA bounds. Must report 0 allocs/op.
+// BenchmarkEstimate times the compiled serving loop: one box intersection
+// in integer order and one multiply-add per retained subpopulation. Must
+// report 0 allocs/op.
 func BenchmarkEstimate(b *testing.B) {
 	for _, sz := range perfSizes {
 		b.Run(fmt.Sprintf("m=%d/d=%d", sz.m, sz.d), func(b *testing.B) {
@@ -115,7 +116,7 @@ func BenchmarkEstimate(b *testing.B) {
 }
 
 // BenchmarkEstimateBatch times the public batch path end to end (lowering
-// outside the lock, one lock acquisition for the whole batch, the clauses
+// outside the lock and one lock acquisition for the whole batch, each step
 // split over GOMAXPROCS goroutines, so -cpu 1 times the inline path) and
 // reports per-query nanoseconds.
 func BenchmarkEstimateBatch(b *testing.B) {

@@ -327,22 +327,66 @@ func (e *Estimator) unlockRead(shared bool) {
 
 // EstimateBatch returns the estimated selectivity of each predicate, in
 // input order. All predicates are lowered to boxes before the estimator
-// lock is taken, and the lock is then acquired once for the whole batch.
-// Under it the clauses are split over GOMAXPROCS goroutines (a batch too
-// short to split runs on the caller's); each answer is bit-identical to
-// Estimate's for the same predicate. A batch that pays a pending lazy fit
-// runs in order on the caller's goroutine, its first clause paying the
-// fit. A lowering or estimation error fails the whole batch and names the
-// lowest offending index.
+// lock is taken, in one pass split over GOMAXPROCS goroutines, and the lock
+// is then acquired once for the whole batch. Under it the clauses are split
+// over GOMAXPROCS goroutines again (a batch too short to split runs on the
+// caller's); each answer is bit-identical to Estimate's for the same
+// predicate. A batch that pays a pending lazy fit runs in order on the
+// caller's goroutine, its first clause paying the fit. A lowering or
+// estimation error fails the whole batch and names the lowest offending
+// index, as a clause-by-clause pass would: the lowest lowering error, else
+// the lowest estimation error.
 func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
-	lowered := make([][]geom.Box, len(preds))
-	for i, p := range preds {
-		boxes, err := p.Boxes(e.schema)
-		if err != nil {
-			return nil, fmt.Errorf("quicksel: estimate %d: %w", i, err)
-		}
-		lowered[i] = boxes
+	lowered, err := e.lowerBatch(len(preds), func(i int) (*Predicate, error) { return preds[i], nil })
+	if err != nil {
+		return nil, err
 	}
+	return e.estimateLowered(lowered)
+}
+
+// EstimateBatchWhere is EstimateBatch with parsed WHERE clauses. Parsing
+// joins lowering in the pass outside the estimator lock, and the error is
+// the one a serial pass gives: the lowest-index parse error, else the
+// lowest lowering error, else the lowest estimation error.
+func (e *Estimator) EstimateBatchWhere(wheres []string) ([]float64, error) {
+	lowered, err := e.lowerBatch(len(wheres), func(i int) (*Predicate, error) { return Parse(e.schema, wheres[i]) })
+	if err != nil {
+		return nil, err
+	}
+	return e.estimateLowered(lowered)
+}
+
+// lowerBatch lowers the n predicates that pred returns, split over
+// GOMAXPROCS goroutines; parsing and lowering read only the immutable
+// schema, and each clause writes only its own slots. A predicate that pred
+// fails to produce is an error ahead of every lowering error, whatever its
+// index.
+func (e *Estimator) lowerBatch(n int, pred func(i int) (*Predicate, error)) ([][]geom.Box, error) {
+	lowered := make([][]geom.Box, n)
+	predErrs := make([]error, n)
+	lowerErrs := make([]error, n)
+	par.For(0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p, err := pred(i)
+			if err != nil {
+				predErrs[i] = err
+				continue
+			}
+			lowered[i], lowerErrs[i] = p.Boxes(e.schema)
+		}
+	})
+	if err := lowestError(predErrs); err != nil {
+		return nil, err
+	}
+	if err := lowestError(lowerErrs); err != nil {
+		return nil, err
+	}
+	return lowered, nil
+}
+
+// estimateLowered estimates every lowered clause under one acquisition of
+// the estimator lock.
+func (e *Estimator) estimateLowered(lowered [][]geom.Box) ([]float64, error) {
 	out := make([]float64, len(lowered))
 	errs := make([]error, len(lowered))
 	shared := e.lockRead()
@@ -361,27 +405,21 @@ func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 			}
 		}
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("quicksel: estimate %d: %w", i, err)
-		}
+	if err := lowestError(errs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// EstimateBatchWhere is EstimateBatch with parsed WHERE clauses: parsing and
-// lowering are amortized outside the estimator lock, and an unparsable
-// clause fails the batch before any is lowered.
-func (e *Estimator) EstimateBatchWhere(wheres []string) ([]float64, error) {
-	preds := make([]*Predicate, len(wheres))
-	for i, w := range wheres {
-		p, err := Parse(e.schema, w)
+// lowestError returns the batch error for the lowest-index failed clause,
+// or nil.
+func lowestError(errs []error) error {
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("quicksel: estimate %d: %w", i, err)
+			return fmt.Errorf("quicksel: estimate %d: %w", i, err)
 		}
-		preds[i] = p
 	}
-	return e.EstimateBatch(preds)
+	return nil
 }
 
 // Accuracy reports the estimator's realized accuracy: MAE and q-error over
