@@ -159,11 +159,14 @@
 //
 // Serving compiles the trained model at Train time into an immutable form —
 // zero-weight subpopulations pruned, weights pre-divided by box volume,
-// box corners held as the int64 bits of their float64 values in contiguous
-// arrays — so Estimate is an allocation-free loop that writes nothing.
-// Every corner lies in the unit cube, where floats order as their bits do,
-// so the loop picks each intersection with integer compares, bit-identical
-// to the float scan. Estimates hold the estimator lock shared: readers of
+// box corners held as the int64 bits of their float64 values in groups of
+// four kernels — so Estimate is an allocation-free scan that writes
+// nothing. Every corner lies in the unit cube, where floats order as their
+// bits do, so the scan picks each intersection with integer compares. On
+// amd64 CPUs with AVX2, probed once at start-up, one assembly routine
+// intersects four kernels per instruction; every other host runs a pure-Go
+// twin over the same layout. Both are bit-identical to the float scan.
+// Estimates hold the estimator lock shared: readers of
 // one estimator run side by side and wait only for writers (Observe, Train,
 // Snapshot) and for a pending lazy fit, which the estimate that finds it
 // pays alone. For many predicates at once, EstimateBatch and

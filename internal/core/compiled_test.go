@@ -30,24 +30,51 @@ func compileFloat(subpops *geom.BoxSet, weights []float64) *floatModel {
 	return f
 }
 
+// estimate converts each weighted term to float64 before adding it, so no
+// target fuses the multiply into the add, as the compiled scans do.
 func (f *floatModel) estimate(lo, hi []float64) float64 {
 	var est float64
 	for j, wv := range f.wOverV {
-		est += wv * f.set.CornersIntersectionVolume(j, lo, hi)
+		est += float64(wv * f.set.CornersIntersectionVolume(j, lo, hi))
 	}
 	return est
 }
 
-// checkScan fails the test unless the compiled scan of (lo, hi) has the
-// float reference's bits, and reports whether the estimate is positive.
-func checkScan(t testing.TB, c *compiledModel, ref *floatModel, lo, hi []float64) bool {
+// scanPath is one of the compiled model's two scans, called by name: the
+// AVX2 routine, which runs only where the host has AVX2, and its pure-Go
+// twin, which runs everywhere.
+type scanPath struct {
+	name string
+	scan func(c *compiledModel, lo, hi []float64) float64
+}
+
+var scanPaths = []scanPath{
+	{"avx2", (*compiledModel).estimateAVX2},
+	{"go", (*compiledModel).estimateGo},
+}
+
+// available reports whether this host can run the path.
+func (p scanPath) available() bool { return p.name != "avx2" || haveAVX2 }
+
+// checkScan fails the test unless every scan path this host can run returns
+// the float reference's bits for (lo, hi).
+func checkScan(t testing.TB, c *compiledModel, ref *floatModel, lo, hi []float64) {
 	t.Helper()
-	got, want := c.estimate(lo, hi), ref.estimate(lo, hi)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("corners %v, %v: compiled scan %v (%#x), float scan %v (%#x)",
-			lo, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+	want := ref.estimate(lo, hi)
+	for _, p := range scanPaths {
+		if p.available() {
+			checkPath(t, p, c, want, lo, hi)
+		}
 	}
-	return got > 0
+}
+
+// checkPath fails the test unless path p's scan of (lo, hi) has want's bits.
+func checkPath(t testing.TB, p scanPath, c *compiledModel, want float64, lo, hi []float64) {
+	t.Helper()
+	if got := p.scan(c, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("corners %v, %v: %s scan %v (%#x), float scan %v (%#x)",
+			lo, hi, p.name, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
 }
 
 // adversarialCorners are query corner values the integer order must place
@@ -63,10 +90,26 @@ var adversarialCorners = []float64{
 	1.5, math.MaxFloat64, math.Inf(1),
 }
 
+// withoutLast returns a copy of weights with the last n non-zero weights
+// set to zero, so compile retains n fewer kernels.
+func withoutLast(weights []float64, n int) []float64 {
+	w := append([]float64(nil), weights...)
+	for j := len(w) - 1; j >= 0 && n > 0; j-- {
+		if w[j] != 0 {
+			w[j] = 0
+			n--
+		}
+	}
+	return w
+}
+
 // Property: on trained models of every dimension — 17 included, so the
-// scan has no dimension cap — the compiled integer scan returns the float
-// scan's bits, on workload-like queries and on queries whose corners are
-// adversarial values, the kernels' own corners (ties), or inverted sides.
+// scan has no dimension cap — both compiled scans return the float scan's
+// bits, on workload-like queries and on queries whose corners are
+// adversarial values, the kernels' own corners (ties), inverted sides or a
+// hi corner of −Inf. Each model is compiled four times, retaining one
+// kernel fewer each time, so the kernel counts cover every residue mod 4
+// and the padding lanes of every partial group.
 func TestCompiledEstimateMatchesFloatScan(t *testing.T) {
 	const queries = 4000
 	for _, d := range []int{1, 2, 3, 8, 17} {
@@ -92,28 +135,58 @@ func TestCompiledEstimateMatchesFloatScan(t *testing.T) {
 			}
 			return v
 		}
-		ref := compileFloat(kernels, m.weights)
-		var positive, inverted int
-		lo, hi := make([]float64, d), make([]float64, d)
+		qlo, qhi := make([]float64, 0, 2*queries*d), make([]float64, 0, 2*queries*d)
+		inverted := 0
 		for q := 0; q < queries; q++ {
-			for k := range lo {
+			for range d {
 				// Wide sides keep positive estimates common at d=17.
 				l := rng.Float64()*0.6 - 0.1
-				lo[k], hi[k] = l, l+rng.Float64()*0.9
+				lo, hi := l, l+rng.Float64()*0.9
 				if q%2 == 1 {
-					lo[k], hi[k] = corner(lo[k]), corner(hi[k])
+					lo, hi = corner(lo), corner(hi)
 				}
-				if hi[k] < lo[k] {
+				if hi < lo {
 					inverted++
 				}
-			}
-			if checkScan(t, m.compiled, ref, lo, hi) {
-				positive++
+				qlo, qhi = append(qlo, lo), append(qhi, hi)
 			}
 		}
-		t.Logf("d=%d: %d kernels, %d of %d queries positive, %d inverted sides", d, len(m.compiled.wOverV), positive, queries, inverted)
-		if positive < queries/10 || inverted == 0 {
-			t.Fatalf("d=%d: %d positive queries and %d inverted sides; the generator covers too little", d, positive, inverted)
+		if inverted == 0 {
+			t.Fatalf("d=%d: no inverted side; the generator covers too little", d)
+		}
+		// The same queries again, each with one hi corner of −Inf: an
+		// empty side that clamping l down to h would turn into NaN.
+		qlo, qhi = append(qlo, qlo...), append(qhi, qhi...)
+		for q := queries; q < 2*queries; q++ {
+			qhi[q*d+q%d] = math.Inf(-1)
+		}
+		for drop := range lanes {
+			weights := withoutLast(m.weights, drop)
+			c, ref := compile(kernels, weights), compileFloat(kernels, weights)
+			retained := len(ref.wOverV)
+			if retained < lanes || len(c.wOverV) != (retained+lanes-1)/lanes*lanes {
+				t.Fatalf("d=%d: %d retained kernels in %d lanes", d, retained, len(c.wOverV))
+			}
+			for _, p := range scanPaths {
+				t.Run(fmt.Sprintf("d=%d/m=%d/%s", d, retained, p.name), func(t *testing.T) {
+					if !p.available() {
+						t.Skip("this host has no AVX2")
+					}
+					positive := 0
+					for q := 0; q < 2*queries; q++ {
+						lo, hi := qlo[q*d:][:d], qhi[q*d:][:d]
+						want := ref.estimate(lo, hi)
+						checkPath(t, p, c, want, lo, hi)
+						if want > 0 {
+							positive++
+						}
+					}
+					t.Logf("%d of %d queries positive, %d inverted sides", positive, 2*queries, inverted)
+					if positive < queries/10 {
+						t.Fatalf("%d positive queries; the generator covers too little", positive)
+					}
+				})
+			}
 		}
 	}
 }
@@ -188,10 +261,12 @@ func TestCompiledEstimateNegativeZeroCorner(t *testing.T) {
 	}
 }
 
-// FuzzCompiledEstimate compares the compiled scan with the float scan bit
+// FuzzCompiledEstimate compares both compiled scans with the float scan bit
 // for bit on fuzzed query corners (any non-NaN float), over a trained d=2
 // mixture plus one fuzzed kernel whenever the fuzzed kernel corners form a
-// box of positive volume inside the unit cube.
+// box of positive volume inside the unit cube. Each mixture is compiled
+// four times, retaining one kernel fewer each time, so every residue of
+// the kernel count mod 4 meets the fuzzed corners.
 func FuzzCompiledEstimate(f *testing.F) {
 	m, err := New(Config{Dim: 2, Seed: 3})
 	if err != nil {
@@ -229,17 +304,22 @@ func FuzzCompiledEstimate(f *testing.F) {
 			subpops.Append(kernel)
 			weights = append(append([]float64(nil), weights...), 0.25)
 		}
-		checkScan(t, compile(subpops, weights), compileFloat(subpops, weights), lo, hi)
+		for drop := range lanes {
+			w := withoutLast(weights, drop)
+			checkScan(t, compile(subpops, w), compileFloat(subpops, w), lo, hi)
+		}
 	})
 }
 
-// BenchmarkCompiledEstimate times the compiled scan ("int") against its
-// float reference ("float", the floatModel scan) and reports ns per
-// kernel. The shapes are those of BenchmarkBoxSetCornersIntersectionVolume
-// in internal/geom, which mirror perfbench's point-small (d=2, 300
-// kernels) and batch-wide (d=8, 2000) models: about 20% and 80% of
-// (query, kernel) pairs intersect. Queries cycle through a seeded pool of
-// 1024 so the branch predictor cannot learn a single one.
+// BenchmarkCompiledEstimate times the AVX2 scan ("avx2", skipped on a host
+// without AVX2), its pure-Go twin ("go") and their float reference
+// ("float", the floatModel scan), and reports ns per kernel and allocations
+// per query; ci/check_kernel.sh holds the three against each other. The
+// shapes are those of BenchmarkBoxSetCornersIntersectionVolume in
+// internal/geom, which mirror perfbench's point-small (d=2, 300 kernels)
+// and batch-wide (d=8, 2000) models: about 20% and 80% of (query, kernel)
+// pairs intersect. Queries cycle through a seeded pool of 1024 so the
+// branch predictor cannot learn a single one.
 func BenchmarkCompiledEstimate(b *testing.B) {
 	for _, sh := range []struct {
 		d, m       int
@@ -271,14 +351,20 @@ func BenchmarkCompiledEstimate(b *testing.B) {
 		for i := range queries {
 			queries[i] = box(sh.minW, sh.maxW)
 		}
+		c := compile(set, weights)
 		for _, scan := range []struct {
 			name string
 			fn   func(lo, hi []float64) float64
 		}{
-			{"int", compile(set, weights).estimate},
+			{"avx2", c.estimateAVX2},
+			{"go", c.estimateGo},
 			{"float", compileFloat(set, weights).estimate},
 		} {
 			b.Run(fmt.Sprintf("d=%d/m=%d/%s", sh.d, sh.m, scan.name), func(b *testing.B) {
+				if scan.name == "avx2" && !haveAVX2 {
+					b.Skip("this host has no AVX2")
+				}
+				b.ReportAllocs()
 				var sum float64
 				n := 0
 				for b.Loop() {

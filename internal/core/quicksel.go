@@ -179,7 +179,8 @@ type Model struct {
 
 	// compiled is the immutable serving form of the trained state (zero
 	// weights pruned, weights pre-divided by volume, corners as int64 bits
-	// in flat arrays); nil when untrained, uniform, or all-zero-weight.
+	// in groups of four kernels); nil when untrained, uniform, or
+	// all-zero-weight.
 	compiled *compiledModel
 
 	// Diagnostics for the experiment drivers.

@@ -249,3 +249,21 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// SymmetricError returns the largest absolute asymmetry |m_ij - m_ji| of a
+// square matrix; useful for validating assembled Q matrices in tests.
+func (m *Matrix) SymmetricError() float64 {
+	if m.Rows != m.Cols {
+		return math.Inf(1)
+	}
+	var e float64
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			d := math.Abs(m.At(i, j) - m.At(j, i))
+			if d > e {
+				e = d
+			}
+		}
+	}
+	return e
+}

@@ -144,24 +144,6 @@ func (m *Matrix) AddScaledGramWorkers(dst *Matrix, scale float64, workers int) {
 	})
 }
 
-// SymmetricError returns the largest absolute asymmetry |m_ij - m_ji| of a
-// square matrix; useful for validating assembled Q matrices in tests.
-func (m *Matrix) SymmetricError() float64 {
-	if m.Rows != m.Cols {
-		return math.Inf(1)
-	}
-	var e float64
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			d := math.Abs(m.At(i, j) - m.At(j, i))
-			if d > e {
-				e = d
-			}
-		}
-	}
-	return e
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

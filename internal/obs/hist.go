@@ -59,10 +59,6 @@ var bucketBounds = func() [NumBuckets]float64 {
 	return b
 }()
 
-// BucketBounds returns the inclusive upper bound of every bucket in
-// seconds; the last entry is +Inf. The slice is shared — do not mutate.
-func BucketBounds() []float64 { return bucketBounds[:] }
-
 // bucketIndex maps a duration to the bucket whose (lower, upper] range
 // contains it. Bounds are exact tick multiples, so d-1 before the shift
 // makes exact-boundary durations land in the lower bucket, matching the

@@ -153,3 +153,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(time.Duration(i))
 	}
 }
+
+// BucketBounds returns the inclusive upper bound of every bucket in
+// seconds; the last entry is +Inf. The slice is shared — do not mutate.
+func BucketBounds() []float64 { return bucketBounds[:] }

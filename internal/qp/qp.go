@@ -186,16 +186,6 @@ func SolveIterative(p *Problem, opts IterativeOptions) (*IterativeResult, error)
 	return &IterativeResult{W: w, Iters: iters, Converged: false}, nil
 }
 
-// Objective evaluates ℓ(w) = wᵀQw + λ‖Aw − s‖²; exposed for tests and the
-// solver-equivalence ablation.
-func Objective(p *Problem, w []float64) float64 {
-	qw := p.Q.MulVec(w)
-	obj := linalg.Dot(w, qw)
-	aw := p.A.MulVec(w)
-	linalg.AXPY(-1, p.S, aw)
-	return obj + p.lambda()*linalg.Dot(aw, aw)
-}
-
 // powerIteration estimates the largest eigenvalue of the symmetric matrix m.
 func powerIteration(m *linalg.Matrix, rounds int) float64 {
 	n := m.Rows

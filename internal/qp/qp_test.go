@@ -229,3 +229,13 @@ func BenchmarkSolveIterative(b *testing.B) {
 		}
 	}
 }
+
+// Objective evaluates ℓ(w) = wᵀQw + λ‖Aw − s‖², the objective the solvers
+// minimize.
+func Objective(p *Problem, w []float64) float64 {
+	qw := p.Q.MulVec(w)
+	obj := linalg.Dot(w, qw)
+	aw := p.A.MulVec(w)
+	linalg.AXPY(-1, p.S, aw)
+	return obj + p.lambda()*linalg.Dot(aw, aw)
+}

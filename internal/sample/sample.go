@@ -68,9 +68,6 @@ func New(tbl *table.Table, cfg Config) (*Sampler, error) {
 // sampled row.
 func (s *Sampler) ParamCount() int { return len(s.points) * s.dim }
 
-// Resamples returns how many full samples have been drawn (1 after New).
-func (s *Sampler) Resamples() int { return s.resamps }
-
 // Resample draws a fresh uniform sample (reservoir sampling over a single
 // scan) and resets the table's modification counter.
 func (s *Sampler) Resample() {

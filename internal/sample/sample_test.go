@@ -156,3 +156,6 @@ func TestReservoirIsUnbiased(t *testing.T) {
 		t.Errorf("reservoir mean = %g, want ≈0.5 (biased sample?)", mean)
 	}
 }
+
+// Resamples returns how many full samples have been drawn (1 after New).
+func (s *Sampler) Resamples() int { return s.resamps }

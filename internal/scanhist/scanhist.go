@@ -93,9 +93,6 @@ func intRoot(n, d int) int {
 // ParamCount returns the number of grid cells.
 func (h *Histogram) ParamCount() int { return len(h.counts) }
 
-// Rebuilds returns how many full scans have been performed (1 after New).
-func (h *Histogram) Rebuilds() int { return h.rebuilds }
-
 // Rebuild rescans the table, repopulating all cells, and resets the
 // table's modification counter.
 func (h *Histogram) Rebuild() {

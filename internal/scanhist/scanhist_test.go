@@ -186,3 +186,6 @@ func TestEstimateDimMismatch(t *testing.T) {
 		t.Error("expected dim mismatch")
 	}
 }
+
+// Rebuilds returns how many full scans have been performed (1 after New).
+func (h *Histogram) Rebuilds() int { return h.rebuilds }

@@ -63,19 +63,6 @@ func (s *Summary) Mean() float64 {
 // Max returns the largest recorded value.
 func (s *Summary) Max() float64 { return s.max }
 
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSquares/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by nearest-rank on
 // the sorted values; 0 for an empty summary.
 func (s *Summary) Percentile(p float64) float64 {
@@ -102,29 +89,4 @@ func (s *Summary) Percentile(p float64) float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f p50=%.4f p95=%.4f max=%.4f",
 		s.n, s.Mean(), s.Percentile(50), s.Percentile(95), s.max)
-}
-
-// MeanRelativeError evaluates est against truth over paired slices and
-// returns the mean relative error. It panics on length mismatch.
-func MeanRelativeError(trueSels, estSels []float64) float64 {
-	if len(trueSels) != len(estSels) {
-		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(trueSels), len(estSels)))
-	}
-	var s Summary
-	for i := range trueSels {
-		s.Add(RelativeError(trueSels[i], estSels[i]))
-	}
-	return s.Mean()
-}
-
-// MeanAbsoluteError is the absolute-error analogue of MeanRelativeError.
-func MeanAbsoluteError(trueSels, estSels []float64) float64 {
-	if len(trueSels) != len(estSels) {
-		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(trueSels), len(estSels)))
-	}
-	var s Summary
-	for i := range trueSels {
-		s.Add(AbsoluteError(trueSels[i], estSels[i]))
-	}
-	return s.Mean()
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,4 +137,42 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Std returns the population standard deviation.
+func (s *Summary) Std() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	m := s.Mean()
+	v := s.sumSquares/float64(s.n) - m*m
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
+}
+
+// MeanRelativeError evaluates est against truth over paired slices and
+// returns the mean relative error. It panics on length mismatch.
+func MeanRelativeError(trueSels, estSels []float64) float64 {
+	if len(trueSels) != len(estSels) {
+		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(trueSels), len(estSels)))
+	}
+	var s Summary
+	for i := range trueSels {
+		s.Add(RelativeError(trueSels[i], estSels[i]))
+	}
+	return s.Mean()
+}
+
+// MeanAbsoluteError is the absolute-error analogue of MeanRelativeError.
+func MeanAbsoluteError(trueSels, estSels []float64) float64 {
+	if len(trueSels) != len(estSels) {
+		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(trueSels), len(estSels)))
+	}
+	var s Summary
+	for i := range trueSels {
+		s.Add(AbsoluteError(trueSels[i], estSels[i]))
+	}
+	return s.Mean()
 }

@@ -312,19 +312,3 @@ func (h *Histogram) estimate(n *bucket, q geom.Box) float64 {
 	}
 	return est
 }
-
-// TotalMass returns the sum of bucket frequencies (≈1 for a well-calibrated
-// histogram; drifts under error feedback, which is the expected behaviour
-// of this baseline).
-func (h *Histogram) TotalMass() float64 {
-	var sum float64
-	var walk func(n *bucket)
-	walk = func(n *bucket) {
-		sum += n.freq
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(h.root)
-	return sum
-}

@@ -186,3 +186,19 @@ func TestTotalMassStaysBounded(t *testing.T) {
 		t.Errorf("TotalMass = %g drifted outside sane bounds", mass)
 	}
 }
+
+// TotalMass returns the sum of bucket frequencies (≈1 for a well-calibrated
+// histogram; drifts under error feedback, which is the expected behaviour
+// of this baseline).
+func (h *Histogram) TotalMass() float64 {
+	var sum float64
+	var walk func(n *bucket)
+	walk = func(n *bucket) {
+		sum += n.freq
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(h.root)
+	return sum
+}

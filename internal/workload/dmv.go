@@ -92,26 +92,3 @@ func NewDMV(cfg DMVConfig) (*Dataset, error) {
 	ds.Table.ResetModified()
 	return ds, nil
 }
-
-// DMVQueries mimics the paper's DMV workload: "the number of valid
-// registrations for vehicles produced within a certain date range" —
-// range predicates over the three attributes, biased toward the populated
-// (recent) region of the domain so selectivities are non-trivial.
-func DMVQueries(s *predicate.Schema, n int, seed int64) []Query {
-	rng := rand.New(rand.NewSource(seed))
-	queries := make([]Query, 0, n)
-	for i := 0; i < n; i++ {
-		centers := []float64{
-			0.55 + 0.45*rng.Float64(), // recent model years
-			rng.Float64(),
-			rng.Float64(),
-		}
-		widths := []float64{
-			0.05 + 0.35*rng.Float64(),
-			0.10 + 0.50*rng.Float64(),
-			0.10 + 0.50*rng.Float64(),
-		}
-		queries = append(queries, rangeQuery(s, centers, widths))
-	}
-	return queries
-}

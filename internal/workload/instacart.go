@@ -91,19 +91,3 @@ func NewInstacart(cfg InstacartConfig) (*Dataset, error) {
 	ds.Table.ResetModified()
 	return ds, nil
 }
-
-// InstacartQueries mimics the paper's workload: hour-of-day windows
-// combined with ranges over days_since_prior.
-func InstacartQueries(s *predicate.Schema, n int, seed int64) []Query {
-	rng := rand.New(rand.NewSource(seed))
-	queries := make([]Query, 0, n)
-	for i := 0; i < n; i++ {
-		centers := []float64{rng.Float64(), rng.Float64()}
-		widths := []float64{
-			0.08 + 0.30*rng.Float64(), // a few hours of the day
-			0.10 + 0.50*rng.Float64(),
-		}
-		queries = append(queries, rangeQuery(s, centers, widths))
-	}
-	return queries
-}

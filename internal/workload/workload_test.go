@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"quicksel/internal/geom"
@@ -295,4 +296,43 @@ func TestDataCenteredQueriesEmptyTable(t *testing.T) {
 			t.Error("fallback queries must have positive volume")
 		}
 	}
+}
+
+// DMVQueries mimics the paper's DMV workload: "the number of valid
+// registrations for vehicles produced within a certain date range" —
+// range predicates over the three attributes, biased toward the populated
+// (recent) region of the domain so selectivities are non-trivial.
+func DMVQueries(s *predicate.Schema, n int, seed int64) []Query {
+	rng := rand.New(rand.NewSource(seed))
+	queries := make([]Query, 0, n)
+	for i := 0; i < n; i++ {
+		centers := []float64{
+			0.55 + 0.45*rng.Float64(), // recent model years
+			rng.Float64(),
+			rng.Float64(),
+		}
+		widths := []float64{
+			0.05 + 0.35*rng.Float64(),
+			0.10 + 0.50*rng.Float64(),
+			0.10 + 0.50*rng.Float64(),
+		}
+		queries = append(queries, rangeQuery(s, centers, widths))
+	}
+	return queries
+}
+
+// InstacartQueries mimics the paper's workload: hour-of-day windows
+// combined with ranges over days_since_prior.
+func InstacartQueries(s *predicate.Schema, n int, seed int64) []Query {
+	rng := rand.New(rand.NewSource(seed))
+	queries := make([]Query, 0, n)
+	for i := 0; i < n; i++ {
+		centers := []float64{rng.Float64(), rng.Float64()}
+		widths := []float64{
+			0.08 + 0.30*rng.Float64(), // a few hours of the day
+			0.10 + 0.50*rng.Float64(),
+		}
+		queries = append(queries, rangeQuery(s, centers, widths))
+	}
+	return queries
 }
