@@ -16,6 +16,8 @@
 #   - all three report 0 allocs/op;
 #   - avx2 takes at most 0.5x float's time per query, where the host has
 #     AVX2 (the benchmark must then run it, not skip it);
+#   - on Linux, the benchmark runs avx2 exactly where /proc/cpuinfo lists
+#     avx2, so a wrong CPUID probe cannot pass as a host without AVX2;
 #   - go takes at most 1.25x float's time per query.
 #
 # Each ratio compares medians over five rounds. The scans
@@ -50,6 +52,16 @@ import re, statistics, sys
 avx2_max, go_max = float(sys.argv[1]), float(sys.argv[2])
 out = """$out"""
 
+# The kernel's own reading of the CPU, to hold the package's CPUID probe
+# against: None where there is no /proc/cpuinfo.
+try:
+    with open("/proc/cpuinfo") as f:
+        flags = next((line.split(":", 1)[1].split() for line in f
+                      if line.split(":", 1)[0].strip() == "flags"), None)
+    cpu_avx2 = None if flags is None else "avx2" in flags
+except OSError:
+    cpu_avx2 = None
+
 ns, allocs, skipped = {}, {}, set()
 for line in out.splitlines():
     m = re.match(r"BenchmarkCompiledEstimate/(d=\d+/m=\d+)/(\w+)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) allocs/op", line)
@@ -74,8 +86,13 @@ def verdict(ok, text):
 
 for shape in shapes:
     for scan in ("avx2", "go", "float"):
+        if scan == "avx2" and cpu_avx2 is not None:
+            ran = (shape, scan) not in skipped
+            verdict(ran == cpu_avx2, "%s/avx2: %s, /proc/cpuinfo %s avx2"
+                    % (shape, "run" if ran else "skipped", "lists" if cpu_avx2 else "does not list"))
         if (shape, scan) in skipped and scan == "avx2":
-            print("%s/avx2: skipped, the host has no AVX2" % shape)
+            if cpu_avx2 is None:
+                print("%s/avx2: skipped, the host has no AVX2" % shape)
             continue
         if (shape, scan) not in ns:
             verdict(False, "%s/%s: no result" % (shape, scan))

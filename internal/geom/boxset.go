@@ -6,93 +6,56 @@ package geom
 // bucket is fully inside or fully outside each predicate (Appendix B of the
 // paper requires 0/1 overlap for iterative scaling).
 
-import (
-	"math"
-	"slices"
-)
-
 // Subtract decomposes a \ b into at most 2d disjoint boxes whose union is
 // exactly the part of a not covered by b. The decomposition peels one slab
 // per dimension: below b, above b, then recurses into the middle. The
-// returned boxes are pairwise disjoint and lie inside a. When b misses a,
-// the one returned box is a itself; otherwise the boxes' corners are
-// carved from one backing array that shares no storage with a or b.
+// returned boxes are pairwise disjoint and lie inside a.
 func Subtract(a, b Box) []Box {
-	return subtract(nil, a, b)
-}
-
-// subtract appends the boxes of Subtract(a, b) to out, in order.
-func subtract(out []Box, a, b Box) []Box {
-	if !a.Overlaps(b) {
+	inter, ok := a.Intersect(b)
+	if !ok {
 		if a.IsEmpty() {
-			return out
+			return nil
 		}
-		return append(out, a)
+		return []Box{a.Clone()}
 	}
-	// Step i below narrows only dimension i of rest, so a's own corners
-	// say which slabs it will peel.
-	d, slabs := a.Dim(), 0
-	for i := range d {
-		if a.Lo[i] < math.Max(a.Lo[i], b.Lo[i]) {
-			slabs++
-		}
-		if a.Hi[i] > math.Min(a.Hi[i], b.Hi[i]) {
-			slabs++
-		}
+	if inter.Equal(a) {
+		return nil // a fully covered
 	}
-	if slabs == 0 {
-		return out // a fully covered
-	}
-	out = slices.Grow(out, slabs)
-	rest, buf := cut(make([]float64, 2*d*(slabs+1)), a)
-	for i := range d {
-		// The intersection's corners in dimension i, as Box.Intersect
-		// computes them.
-		lo, hi := math.Max(a.Lo[i], b.Lo[i]), math.Min(a.Hi[i], b.Hi[i])
+	var out []Box
+	rest := a.Clone()
+	for i := 0; i < a.Dim(); i++ {
 		// Slab strictly below the intersection in dimension i.
-		if rest.Lo[i] < lo {
-			var below Box
-			below, buf = cut(buf, rest)
-			below.Hi[i] = lo
+		if rest.Lo[i] < inter.Lo[i] {
+			below := rest.Clone()
+			below.Hi[i] = inter.Lo[i]
 			if !below.IsEmpty() {
 				out = append(out, below)
 			}
-			rest.Lo[i] = lo
+			rest.Lo[i] = inter.Lo[i]
 		}
 		// Slab strictly above the intersection in dimension i.
-		if rest.Hi[i] > hi {
-			var above Box
-			above, buf = cut(buf, rest)
-			above.Lo[i] = hi
+		if rest.Hi[i] > inter.Hi[i] {
+			above := rest.Clone()
+			above.Lo[i] = inter.Hi[i]
 			if !above.IsEmpty() {
 				out = append(out, above)
 			}
-			rest.Hi[i] = hi
+			rest.Hi[i] = inter.Hi[i]
 		}
 	}
 	return out
 }
 
-// cut copies r into the front of buf and returns the copy and the rest of
-// buf.
-func cut(buf []float64, r Box) (Box, []float64) {
-	d := r.Dim()
-	c := Box{Lo: buf[:d:d], Hi: buf[d : 2*d : 2*d]}
-	copy(c.Lo, r.Lo)
-	copy(c.Hi, r.Hi)
-	return c, buf[2*d:]
-}
-
 // SubtractAll returns the part of a not covered by any box in bs, as a set
-// of disjoint boxes; when no box in bs meets a, that set is a itself.
+// of disjoint boxes.
 func SubtractAll(a Box, bs []Box) []Box {
-	remain, next := []Box{a}, []Box(nil)
+	remain := []Box{a}
 	for _, b := range bs {
-		next = next[:0]
+		var next []Box
 		for _, r := range remain {
-			next = subtract(next, r, b)
+			next = append(next, Subtract(r, b)...)
 		}
-		remain, next = next, remain
+		remain = next
 		if len(remain) == 0 {
 			break
 		}
@@ -102,21 +65,20 @@ func SubtractAll(a Box, bs []Box) []Box {
 
 // Disjointify converts an arbitrary collection of boxes into a set of
 // pairwise-disjoint boxes covering exactly the same region. Boxes are added
-// one at a time, keeping only the part not already covered; a box no
-// earlier box meets is kept as it is, sharing its corners with the input.
+// one at a time, keeping only the part not already covered.
 func Disjointify(boxes []Box) []Box {
-	var out, pieces, next []Box
+	var out []Box
 	for _, b := range boxes {
 		if b.IsEmpty() {
 			continue
 		}
-		pieces = append(pieces[:0], b)
+		pieces := []Box{b}
 		for _, existing := range out {
-			next = next[:0]
+			var next []Box
 			for _, p := range pieces {
-				next = subtract(next, p, existing)
+				next = append(next, Subtract(p, existing)...)
 			}
-			pieces, next = next, pieces
+			pieces = next
 			if len(pieces) == 0 {
 				break
 			}

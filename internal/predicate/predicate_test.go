@@ -623,23 +623,6 @@ func TestTopLevelDisjunctionCopiesNoBox(t *testing.T) {
 	}
 }
 
-// A negation carves each subtraction's slabs from one backing array and
-// reuses its working slices, so NOT of a four-leaf conjunction makes a
-// handful of allocations where cloning every slab and rebuilding every
-// slice made 65.
-func TestNegationCarvesSlabsFromOneArray(t *testing.T) {
-	s := wideSchema()
-	p := Not(wideConjunction(4))
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.Boxes(s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 20 {
-		t.Errorf("Boxes allocates %v times for the negation of a four-leaf conjunction, want at most 20", allocs)
-	}
-}
-
 func BenchmarkBoxes(b *testing.B) {
 	s := wideSchema()
 	for _, bc := range []struct {
