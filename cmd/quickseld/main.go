@@ -82,7 +82,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -92,7 +91,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -312,23 +310,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Bind the listen address before building the registry: snapshot restore
-	// and WAL replay can take a while, and during that window the boot-gate
-	// handler answers /healthz 200 (the process is live) but everything else
-	// 503 (not ready), so probes and load balancers see an honest picture
-	// instead of connection-refused. Once server.New returns, the real
-	// handler is swapped in atomically.
+	// Bind the listen address before the node recovers its registry:
+	// snapshot restore and WAL replay (or a follower's snapshot bootstrap)
+	// can take a while, and during that window the node's boot answer
+	// reports /healthz 200 (the process is live) but everything else 503
+	// (not ready), so probes and load balancers see an honest picture
+	// instead of connection-refused.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal("quickseld: listen", err)
 	}
-	var handler atomic.Pointer[http.Handler]
-	boot := newBootHandler()
-	handler.Store(&boot)
+	node := server.NewNode(cfg, server.FetchConfig{
+		PollWait:   v.replPollWait,
+		BackoffMin: v.replBackoffMin,
+		BackoffMax: v.replBackoffMax,
+	})
 	httpSrv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			(*handler.Load()).ServeHTTP(w, r)
-		}),
+		Handler: node,
 		// Slow-client protection on every stage of a connection's life. The
 		// write timeout must comfortably exceed the replication long-poll cap
 		// (a follower fetch may hold its response for MaxReplicationWait)
@@ -341,41 +339,11 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	// srvSlot holds the live server (nil during a follower re-bootstrap);
-	// stopRepl stops the follower lifecycle before the final close.
-	var srvSlot atomic.Pointer[server.Server]
-	stopRepl := func() {}
-	if cfg.Role == server.RoleFollower {
-		stop := make(chan struct{})
-		replDone := make(chan struct{})
-		go func() {
-			defer close(replDone)
-			runFollower(cfg, v, logger, &handler, &srvSlot, stop)
-		}()
-		stopRepl = func() { close(stop); <-replDone }
-	} else {
-		srv, err := server.New(cfg)
-		if err != nil {
-			fatal("quickseld: startup", err)
-		}
-		srvSlot.Store(srv)
-		real := http.Handler(srv)
-		handler.Store(&real)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		s := <-sig
-		logger.Info("quickseld: shutting down", slog.String("signal", s.String()))
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Warn("quickseld: http shutdown", slog.Any("error", err))
-		}
-	}()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	ctx, stop := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- node.Run(ctx) }()
 
 	logger.Info("quickseld: serving",
 		slog.String("addr", ln.Addr().String()),
@@ -384,38 +352,29 @@ func main() {
 		slog.String("wal", v.walDir),
 		slog.Bool("pprof", v.pprof),
 	)
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	select {
+	case s := <-sig:
+		logger.Info("quickseld: shutting down", slog.String("signal", s.String()))
+	case err := <-serveErr:
 		fatal("quickseld: serve", err)
+	case <-runErr:
+		// Run returns before shutdown only on a start-up failure, which it
+		// has logged.
+		os.Exit(1)
 	}
-	<-done
-	stopRepl()
-	// Drain state: flush pending observations, train (primary only), and
-	// persist the final snapshot, so a clean restart replays a minimal WAL
-	// suffix instead of the whole retained log.
-	if srv := srvSlot.Load(); srv != nil {
-		if err := srv.Close(); err != nil {
-			fatal("quickseld: close", err)
-		}
-		reg := srv.Registry()
-		logger.Info("quickseld: final checkpoint",
-			slog.Uint64("covered_seq", reg.LastCovered()),
-			slog.Uint64("last_seq", reg.ReplicationResume()-1))
+	// Drain in-flight requests, stop the node, then close it: flush pending
+	// observations, train (primary only), and persist the final snapshot.
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+		logger.Warn("quickseld: http shutdown", slog.Any("error", err))
+	}
+	stop()
+	if err := <-runErr; err != nil {
+		os.Exit(1)
+	}
+	if err := node.Close(); err != nil {
+		fatal("quickseld: close", err)
 	}
 	logger.Info("quickseld: bye")
-}
-
-// newBootHandler serves the startup window between bind and readiness:
-// liveness is already true, readiness and everything else honestly 503.
-func newBootHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"ready":false,"reason":"starting up"}`)
-	})
-	return mux
 }

@@ -674,42 +674,32 @@ func (rt *Router) SetDraining() { rt.draining.Store(true) }
 // quickselcluster_* families federated from every node's /v1/telemetry
 // (with per-node staleness gauges), and the process build/runtime gauges.
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("quickselrouter_requests_total", "Total /v1 requests accepted by the router.", rt.reqTotal.Load())
-	counter("quickselrouter_request_errors_total", "Requests answered with a 5xx (upstream or router).", rt.reqErrors.Load())
-	counter("quickselrouter_retried_total", "Second proxy attempts after a 503 or transport error.", rt.retried.Load())
-	counter("quickselrouter_rerouted_total", "Retries that followed an X-Quickseld-Primary hint to a new primary.", rt.rerouted.Load())
-	counter("quickselrouter_follower_reads_total", "Estimate requests answered by a caught-up follower.", rt.followerReads.Load())
+	var t obs.Telemetry
+	t.AddCounter("quickselrouter_requests_total", "Total /v1 requests accepted by the router.", rt.reqTotal.Load())
+	t.AddCounter("quickselrouter_request_errors_total", "Requests answered with a 5xx (upstream or router).", rt.reqErrors.Load())
+	t.AddCounter("quickselrouter_retried_total", "Second proxy attempts after a 503 or transport error.", rt.retried.Load())
+	t.AddCounter("quickselrouter_rerouted_total", "Retries that followed an X-Quickseld-Primary hint to a new primary.", rt.rerouted.Load())
+	t.AddCounter("quickselrouter_follower_reads_total", "Estimate requests answered by a caught-up follower.", rt.followerReads.Load())
 	ready := 0.0
 	if rt.tracker.Ready() {
 		ready = 1
 	}
-	gauge("quickselrouter_ready", "1 when every shard has a live ready primary.", ready)
-	gauge("quickselrouter_ring_vnodes", "Virtual nodes per shard on the placement ring.", float64(rt.tracker.Ring().Vnodes()))
+	t.AddGauge("quickselrouter_ready", "1 when every shard has a live ready primary.", ready)
+	t.AddGauge("quickselrouter_ring_vnodes", "Virtual nodes per shard on the placement ring.", float64(rt.tracker.Ring().Vnodes()))
 
 	// Per-shard serving metrics. Shards in ring order for a stable scrape.
-	fmt.Fprintf(&b, "# HELP quickselrouter_shard_requests_total Requests proxied to the shard.\n")
-	fmt.Fprintf(&b, "# TYPE quickselrouter_shard_requests_total counter\n")
+	requests := obs.Family{Name: "quickselrouter_shard_requests_total", Help: "Requests proxied to the shard.", Type: "counter"}
+	errs := obs.Family{Name: "quickselrouter_shard_errors_total", Help: "Proxied requests that failed (5xx or unreachable).", Type: "counter"}
+	latency := obs.Family{Name: "quickselrouter_shard_request_seconds", Help: "Proxied request latency through the router, per shard.", Type: "histogram"}
 	for _, id := range rt.tracker.Ring().Shards() {
-		fmt.Fprintf(&b, "quickselrouter_shard_requests_total{shard=%q} %d\n", id, rt.shards[id].requests.Load())
+		m, labels := rt.shards[id], map[string]string{"shard": id}
+		requests.Series = append(requests.Series, obs.NumSeries{Labels: labels, Value: float64(m.requests.Load())})
+		errs.Series = append(errs.Series, obs.NumSeries{Labels: labels, Value: float64(m.errors.Load())})
+		latency.Hist = append(latency.Hist, obs.HistSeriesFrom(labels, m.latency.Snapshot()))
 	}
-	fmt.Fprintf(&b, "# HELP quickselrouter_shard_errors_total Proxied requests that failed (5xx or unreachable).\n")
-	fmt.Fprintf(&b, "# TYPE quickselrouter_shard_errors_total counter\n")
-	for _, id := range rt.tracker.Ring().Shards() {
-		fmt.Fprintf(&b, "quickselrouter_shard_errors_total{shard=%q} %d\n", id, rt.shards[id].errors.Load())
-	}
-	fmt.Fprintf(&b, "# HELP quickselrouter_shard_request_seconds Proxied request latency through the router, per shard.\n")
-	fmt.Fprintf(&b, "# TYPE quickselrouter_shard_request_seconds histogram\n")
-	for _, id := range rt.tracker.Ring().Shards() {
-		snap := rt.shards[id].latency.Snapshot()
-		snap.WritePrometheus(&b, "quickselrouter_shard_request_seconds", fmt.Sprintf("shard=%q", id))
-	}
+	t.Families = append(t.Families, requests, errs, latency)
+	var b strings.Builder
+	t.WritePrometheus(&b)
 
 	// Cluster-merged families federated from the shards' telemetry polls:
 	// counters summed, histograms merged bucket-wise per (shard, role),

@@ -94,6 +94,22 @@ type Telemetry struct {
 	Families      []Family `json:"families"`
 }
 
+// AddCounter appends an unlabeled counter family.
+func (t *Telemetry) AddCounter(name, help string, v uint64) {
+	t.Families = append(t.Families, Family{
+		Name: name, Help: help, Type: "counter",
+		Series: []NumSeries{{Value: float64(v)}},
+	})
+}
+
+// AddGauge appends an unlabeled gauge family.
+func (t *Telemetry) AddGauge(name, help string, v float64) {
+	t.Families = append(t.Families, Family{
+		Name: name, Help: help, Type: "gauge",
+		Series: []NumSeries{{Value: v}},
+	})
+}
+
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format: one # HELP/# TYPE header per family, then its series. Label sets
 // render sorted by key, values escaped per the format.

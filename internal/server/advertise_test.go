@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -93,24 +94,33 @@ func TestNoAdvertiseURLOmitted(t *testing.T) {
 // clients follows the live advertised primary from the replication stream,
 // falling back to the configured -primary-url until one is learned.
 func TestPrimaryURLPrefersAdvertised(t *testing.T) {
-	reg := newFollowerReg(t, nil)
+	dir := t.TempDir()
+	const adv = "http://promoted.example:7076"
+	_, ts := newTestServer(t, Config{
+		SnapshotPath: filepath.Join(dir, "state.json"),
+		WALDir:       filepath.Join(dir, "wal"),
+		AdvertiseURL: adv,
+	})
+	createPeople(t, ts.URL)
+	reg := newFollowerReg(t, func(c *Config) { c.PrimaryURL = ts.URL })
 
-	if got := reg.PrimaryURL(); got != "http://primary.example:7075" {
+	if got := reg.PrimaryURL(); got != ts.URL {
 		t.Fatalf("PrimaryURL before any stream contact = %q", got)
 	}
 
-	// The fetch loop pushes status including the primary's self-advertised
-	// address; the hint must switch to it.
-	adv := ""
-	reg.SetReplicationStatus(func() replica.Stats {
-		return replica.Stats{PrimaryURL: adv}
-	})
-	if got := reg.PrimaryURL(); got != "http://primary.example:7075" {
-		t.Fatalf("PrimaryURL with empty advertised = %q", got)
+	// The fetch loop learns the primary's self-advertised address from the
+	// stream; the hint must switch to it.
+	f, err := reg.follow(FetchConfig{PollWait: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	adv = "http://promoted.example:7076"
-	if got := reg.PrimaryURL(); got != "http://promoted.example:7076" {
-		t.Fatalf("PrimaryURL with advertised primary = %q", got)
+	go f.Run(context.Background())
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.PrimaryURL() != adv {
+		if time.Now().After(deadline) {
+			t.Fatalf("PrimaryURL with advertised primary = %q", reg.PrimaryURL())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// GET /v1/replication/status carries the fetch loop's state, the

@@ -27,10 +27,6 @@ type Server struct {
 	served          []atomic.Uint64
 	reqRoleRejected atomic.Uint64
 	reqErrors       atomic.Uint64
-
-	// promoteHook, when set, replaces Registry.Promote behind
-	// POST /v1/replication/promote (see SetPromoteHook).
-	promoteHook atomic.Pointer[func() (bool, error)]
 }
 
 // route is one row of the counted route table: a mux pattern, the

@@ -336,12 +336,15 @@ type Registry struct {
 	followers  map[string]*followerWatermark
 	ackWaiters []*ackWaiter
 
-	// Follower-side: records applied via Replicate, and the fetcher's
-	// status callback (set by the daemon, read by /metrics and /readyz).
+	// Semi-sync ack counters (primary), and records applied via Replicate
+	// (follower).
 	replApplied atomic.Uint64
 	ackWaits    atomic.Uint64
 	ackTimeouts atomic.Uint64
-	replStatus  atomic.Pointer[func() replica.Stats]
+	// fetcher is a follower's fetch loop, set by follow before the server
+	// is published and read by /readyz, /metrics and the status endpoint
+	// (nil when Replicate is fed some other way).
+	fetcher *replica.Fetcher
 
 	// Registry-wide counters (atomics; hot paths don't take mu).
 	snapshotsSaved   atomic.Uint64
@@ -463,7 +466,8 @@ func (r *Registry) Readiness() Readiness {
 		rd.Ready = rd.Ready && rd.TrainerRunning
 	} else {
 		caught := false
-		if st := r.replicationStatus(); st != nil {
+		if r.fetcher != nil {
+			st := r.fetcher.Stats()
 			caught = st.CaughtUp && st.Healthy
 			rd.ReplicationLag = st.Lag
 		}
@@ -473,11 +477,14 @@ func (r *Registry) Readiness() Readiness {
 	return rd
 }
 
-// Close stops the background worker, flushes and trains every estimator
-// with pending observations, and writes a final snapshot (when persistence
-// is configured).
+// Close stops the fetch loop and the background worker, flushes and
+// trains every estimator with pending observations, and writes a final
+// snapshot (when persistence is configured).
 func (r *Registry) Close() error {
 	r.draining.Store(true)
+	if r.fetcher != nil {
+		r.fetcher.Stop()
+	}
 	r.stopO.Do(func() { close(r.done) })
 	r.wg.Wait()
 	if r.IsPrimary() {

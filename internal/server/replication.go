@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"quicksel/internal/obs"
 	"quicksel/internal/replica"
 	"quicksel/internal/wal"
 )
@@ -40,10 +41,10 @@ import (
 //     watermark covers the record, so killing the primary cannot lose an
 //     acknowledged write that no follower has.
 //
-// Promotion (POST /v1/replication/promote) flips the role: the daemon
-// stops the fetch loop first, then Registry.Promote marks the registry
-// primary, which lets the background worker train; buffered replicated
-// observations train exactly as they would have on the old primary.
+// Promotion (POST /v1/replication/promote) flips the role: Registry.Promote
+// stops the registry's fetch loop first, then marks the registry primary,
+// which lets the background worker train; buffered replicated observations
+// train exactly as they would have on the old primary.
 
 // Replication roles.
 const (
@@ -133,8 +134,10 @@ func (r *Registry) IsPrimary() bool { return r.primary.Load() }
 // configured -primary-url, so the 503 hint a follower hands write clients
 // stays correct after a failover re-points the fetch loop.
 func (r *Registry) PrimaryURL() string {
-	if st := r.replicationStatus(); st != nil && st.PrimaryURL != "" {
-		return st.PrimaryURL
+	if r.fetcher != nil {
+		if u := r.fetcher.PrimaryURL(); u != "" {
+			return u
+		}
 	}
 	return r.cfg.PrimaryURL
 }
@@ -154,14 +157,17 @@ func (r *Registry) ReplicationResume() uint64 {
 
 // Promote flips a follower to the primary role, so the background worker's
 // next tick trains the replicated observations buffered during
-// followership. It reports whether a flip happened; promoting a
-// primary is a no-op. The caller must stop feeding Replicate first (the
-// daemon stops the fetch loop before calling this).
+// followership. It first stops the registry's fetch loop, if it has one,
+// and waits for it to return, so no record is applied after the flip. It
+// reports whether a flip happened; promoting a primary is a no-op.
 func (r *Registry) Promote() (promoted bool, err error) {
 	select {
 	case <-r.done:
 		return false, fmt.Errorf("server: registry is closed")
 	default:
+	}
+	if r.fetcher != nil {
+		r.fetcher.Stop()
 	}
 	if !r.primary.CompareAndSwap(false, true) {
 		return false, nil
@@ -354,20 +360,22 @@ func sortFollowers(fs []FollowerInfo) {
 	}
 }
 
-// SetReplicationStatus installs the follower's live status source, the
-// fetch loop's Stats, surfaced on /readyz, /metrics, and
-// GET /v1/replication/status.
-func (r *Registry) SetReplicationStatus(fn func() replica.Stats) {
-	r.replStatus.Store(&fn)
-}
-
-func (r *Registry) replicationStatus() *replica.Stats {
-	p := r.replStatus.Load()
-	if p == nil {
-		return nil
+// follow builds the fetch loop that tails cfg.PrimaryURL into this
+// follower registry. The registry owns it from then on: Promote and Close
+// stop it, and readiness, /metrics and GET /v1/replication/status read its
+// Stats. The caller runs it, once.
+func (r *Registry) follow(fetch FetchConfig) (*replica.Fetcher, error) {
+	fetch.PrimaryURL = r.cfg.PrimaryURL
+	fetch.FollowerID = r.cfg.NodeID
+	fetch.Resume = r.ReplicationResume
+	fetch.Apply = func(recs []wal.Record, _ uint64) error { return r.Replicate(recs) }
+	fetch.Logger = obs.Component(r.cfg.Logger, "replica")
+	f, err := replica.NewFetcher(fetch)
+	if err != nil {
+		return nil, err
 	}
-	st := (*p)()
-	return &st
+	r.fetcher = f
+	return f, nil
 }
 
 // ---- HTTP handlers (routes registered in New) ----
@@ -491,21 +499,10 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Reques
 	_, _ = w.Write(data)
 }
 
-// SetPromoteHook installs the daemon's promotion sequence (stop the fetch
-// loop, then Registry.Promote) behind POST /v1/replication/promote. Without
-// a hook the handler calls Registry.Promote directly.
-func (s *Server) SetPromoteHook(fn func() (bool, error)) {
-	s.promoteHook.Store(&fn)
-}
-
 // handlePromote serves POST /v1/replication/promote: health-check- or
 // operator-driven failover.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
-	promote := s.reg.Promote
-	if p := s.promoteHook.Load(); p != nil {
-		promote = *p
-	}
-	promoted, err := promote()
+	promoted, err := s.reg.Promote()
 	if err != nil {
 		s.reqErrors.Add(1)
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
@@ -550,8 +547,8 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, _ *http.Request)
 	} else {
 		resp["primary_url"] = s.reg.PrimaryURL()
 		resp["applied"] = s.reg.replApplied.Load()
-		if st := s.reg.replicationStatus(); st != nil {
-			resp["replication"] = st
+		if f := s.reg.fetcher; f != nil {
+			resp["replication"] = f.Stats()
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

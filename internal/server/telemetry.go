@@ -20,18 +20,7 @@ func (s *Server) collect() obs.Telemetry {
 		Role:          s.reg.Role(),
 		UptimeSeconds: time.Since(s.reg.start).Seconds(),
 	}
-	counter := func(name, help string, v uint64) {
-		t.Families = append(t.Families, obs.Family{
-			Name: name, Help: help, Type: "counter",
-			Series: []obs.NumSeries{{Value: float64(v)}},
-		})
-	}
-	gauge := func(name, help string, v float64) {
-		t.Families = append(t.Families, obs.Family{
-			Name: name, Help: help, Type: "gauge",
-			Series: []obs.NumSeries{{Value: v}},
-		})
-	}
+	counter, gauge := t.AddCounter, t.AddGauge
 
 	for i, rt := range s.routes {
 		counter(rt.counter, rt.help, s.served[i].Load())
@@ -83,7 +72,8 @@ func (s *Server) collect() obs.Telemetry {
 		gauge("quickseld_replication_followers", "Followers that fetched within the retention window.", live)
 		counter("quickseld_replication_ack_waits_total", "Writes that waited for a follower ack (semi-sync mode).", s.reg.ackWaits.Load())
 		counter("quickseld_replication_ack_timeouts_total", "Semi-sync ack waits that timed out and degraded to a local ack.", s.reg.ackTimeouts.Load())
-	} else if st := s.reg.replicationStatus(); st != nil {
+	} else if s.reg.fetcher != nil {
+		st := s.reg.fetcher.Stats()
 		gauge("quickseld_replication_lag", "Records this follower is behind the primary's durable tail.", float64(st.Lag))
 		caught := 0.0
 		if st.CaughtUp {

@@ -58,6 +58,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -361,8 +362,8 @@ type scanResult struct {
 	torn        bool  // a bad frame stopped the scan before EOF
 }
 
-// scanSegment walks a segment's frames, verifying length, CRC, and the
-// dense sequence run. When fn is non-nil it is invoked for every record with
+// scanSegment walks a segment's frames, verifying each with DecodeFrame
+// (length and CRC) and the run for dense sequence numbers. When fn is non-nil it is invoked for every record with
 // seq >= from; fn errors abort the scan. The payload passed to fn is only
 // valid during the call.
 func scanSegment(path string, from uint64, fn func(Record) error) (scanResult, error) {
@@ -377,45 +378,44 @@ func scanSegment(path string, from uint64, fn func(Record) error) (scanResult, e
 	}
 	res := scanResult{size: info.Size()}
 	r := bufio.NewReaderSize(f, 1<<20)
-	var hdr [frameHeaderSize]byte
-	var body []byte
+	frame := make([]byte, frameHeaderSize)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		frame = frame[:frameHeaderSize]
+		if _, err := io.ReadFull(r, frame); err != nil {
 			if err != io.EOF {
 				res.torn = true
 			}
 			return res, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n < frameBodyOverhead || n > frameBodyOverhead+MaxPayload {
+		// On the header alone, DecodeFrame checks the length: a valid one
+		// leaves the frame short of its body.
+		if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrShortFrame) {
 			res.torn = true
 			return res, nil
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
+		body := int(binary.LittleEndian.Uint32(frame[0:4]))
+		frame = slices.Grow(frame, body)[:frameHeaderSize+body]
+		if _, err := io.ReadFull(r, frame[frameHeaderSize:]); err != nil {
 			res.torn = true
 			return res, nil
 		}
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		rec, n, err := DecodeFrame(frame)
+		if err != nil {
 			res.torn = true
 			return res, nil
 		}
-		seq := binary.LittleEndian.Uint64(body[1:9])
-		if res.records > 0 && seq != res.last+1 {
+		if res.records > 0 && rec.Seq != res.last+1 {
 			res.torn = true
 			return res, nil
 		}
 		if res.records == 0 {
-			res.first = seq
+			res.first = rec.Seq
 		}
-		res.last = seq
+		res.last = rec.Seq
 		res.records++
-		res.good += int64(frameHeaderSize + n)
-		if fn != nil && seq >= from {
-			if err := fn(Record{Type: body[0], Seq: seq, Payload: body[frameBodyOverhead:]}); err != nil {
+		res.good += int64(n)
+		if fn != nil && rec.Seq >= from {
+			if err := fn(rec); err != nil {
 				return res, err
 			}
 		}
