@@ -120,6 +120,27 @@ func observeOne(base string, o Observation) bool {
 	return resp.StatusCode == http.StatusAccepted && json.NewDecoder(resp.Body).Decode(&ack) == nil && ack.Accepted == 1
 }
 
+// TestNodeBootAnswer: until Run publishes a server, a node is live but
+// not ready, and says so in the same bytes on every path but /healthz.
+func TestNodeBootAnswer(t *testing.T) {
+	n := NewNode(nodeConfig(t), FetchConfig{})
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "/healthz", "ok\n"},
+		{"GET", "/readyz", `{"ready":false,"reason":"starting up"}` + "\n"},
+		{"POST", "/v1/people/observe", `{"ready":false,"reason":"starting up"}` + "\n"},
+	} {
+		rec := httptest.NewRecorder()
+		n.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		want := http.StatusServiceUnavailable
+		if c.path == "/healthz" {
+			want = http.StatusOK
+		}
+		if rec.Code != want || rec.Body.String() != c.body {
+			t.Errorf("%s %s = %d %q, want %d %q", c.method, c.path, rec.Code, rec.Body, want, c.body)
+		}
+	}
+}
+
 // TestNodeFailover crashes a semi-sync primary mid-stream and promotes its
 // follower over HTTP: the follower holds every acknowledged observation,
 // and once trained it answers bit for bit as a control fed that prefix.
