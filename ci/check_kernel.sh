@@ -1,59 +1,91 @@
 #!/usr/bin/env bash
-# Kernel guard: holds the compiled estimate scans against their float
-# reference timed in the same process, so it needs no committed baseline
-# and holds on any runner.
+# Kernel guard: holds each Go-assembly kernel and its pure-Go twin against
+# the code it replaced, timed in the same process, so it needs no committed
+# baseline and holds on any runner.
 #
-# BenchmarkCompiledEstimate (internal/core) times three scans at
-# perfbench's point-small (d=2, 300 kernels) and batch-wide (d=8, 2000
-# kernels) shapes:
+# The read path. BenchmarkCompiledEstimate (internal/core) times three
+# scans at perfbench's point-small (d=2, 300 kernels) and batch-wide (d=8,
+# 2000 kernels) shapes:
 #
-#   avx2   the Go-assembly AVX2 scan, skipped on a host without AVX2
-#   go     its pure-Go twin, which every other host runs
-#   float  the float scan over geom.BoxSet.CornersIntersectionVolume
+#   avx2    the Go-assembly AVX2 scan, skipped on a host without AVX2
+#   go      its pure-Go twin, which every other host runs
+#   float   the float scan over geom.BoxSet.CornersIntersectionVolume
 #
-# The guard fails unless, at both shapes:
+# The train. BenchmarkCholeskyFactor at n=1000 and BenchmarkGram at
+# batch-wide's A (201 x 2000, ~80% nonzero), both in internal/linalg, time
+# three paths of each dense product at one worker:
 #
-#   - all three report 0 allocs/op;
-#   - avx2 takes at most 0.5x float's time per query, where the host has
-#     AVX2 (the benchmark must then run it, not skip it);
-#   - on Linux, the benchmark runs avx2 exactly where /proc/cpuinfo lists
+#   avx2    the AVX2 trailing-update tiles and Gram groups, skipped on a
+#           host without AVX2
+#   go      their pure-Go twins over the same packed layouts
+#   scalar  the 2x3-tile trailing update and row-by-row Gram they replaced
+#
+# The guard fails unless:
+#
+#   - the scans report 0 allocs/op in every round, and the factor's paths,
+#     in the median round, no more than scalar's. The Gram's packed paths
+#     may allocate GRAM_EXTRA_ALLOCS more than scalar's: the packed copy of
+#     A, the two nonzero lists and the two closures handed to par.For
+#     (TestGramAllocatesPackedCopy bounds their bytes), so an allocation per
+#     panel, row or group still fails. (The median, because a round now and
+#     then counts a few allocations the runtime or the testing package made
+#     on another goroutine.);
+#   - on Linux, each benchmark runs avx2 exactly where /proc/cpuinfo lists
 #     avx2, so a wrong CPUID probe cannot pass as a host without AVX2;
-#   - go takes at most 1.25x float's time per query.
+#   - avx2 takes at most 0.5x float's time per query, and at most 0.7x
+#     scalar's time per factor or Gram, where the host has AVX2;
+#   - go takes at most 1.25x float's time per query, and at most 1.75x
+#     scalar's time per factor or Gram.
 #
-# Each ratio compares medians over five rounds. The scans
-# measured 0.10-0.25x (avx2) and 0.25-0.64x (go) of float on a 2-vCPU Xeon,
-# so the bounds leave room for runner noise while an allocation, a lost
-# vector path or a scan that doubles its time still fails.
+# Each ratio compares medians over five rounds. On a shared 2-vCPU Xeon
+# (2.0 GHz) the scans measured 0.08-0.25x (avx2) and 0.22-0.68x (go) of
+# float; the factor 0.38-0.46x (avx2) and 1.03-1.24x (go) of scalar, one
+# run reading 1.51x for go; the Gram 0.32-0.36x (avx2) and 0.63-0.76x
+# (go). The twin's factor runs at about scalar's speed, so its bound is
+# the looser one. The bounds leave room for runner noise, while an
+# allocation, a lost vector path or a kernel that doubles its time still
+# fails.
 #
 # Run from the repository root: ./ci/check_kernel.sh
 set -eu
 
-AVX2_MAX=0.5
-GO_MAX=1.25
+AVX2_READ_MAX=0.5
+AVX2_TRAIN_MAX=0.7
+GO_READ_MAX=1.25
+GO_TRAIN_MAX=1.75
+GRAM_EXTRA_ALLOCS=5
 
-# Five rounds of the whole benchmark, so every round times the three
-# scans back to back.
-out=""
-for round in 1 2 3 4 5; do
-    r=$(go test -run '^$' -bench 'BenchmarkCompiledEstimate' -benchmem \
-        -benchtime=200ms -count=1 -v ./internal/core 2>&1) || {
-        echo "$r"
-        echo "ci/check_kernel.sh: BenchmarkCompiledEstimate failed" >&2
-        exit 1
-    }
-    out="$out
-$r"
-done
-echo "$out" | grep -E '^Benchmark.*ns/op|--- SKIP' || true
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 
-python3 - "$AVX2_MAX" "$GO_MAX" <<PYEOF
+# rounds <file> <package> <go test flags...>: five rounds of the benchmarks,
+# so every round times a kernel's paths back to back.
+rounds() {
+    local file=$1 pkg=$2
+    shift 2
+    for round in 1 2 3 4 5; do
+        if ! go test -run '^$' -benchmem -count=1 -v "$@" "$pkg" >>"$file" 2>&1; then
+            cat "$file"
+            echo "ci/check_kernel.sh: the benchmarks in $pkg failed" >&2
+            exit 1
+        fi
+    done
+    grep -E '^Benchmark.*ns/op|--- SKIP' "$file" || true
+}
+
+rounds "$work/read" ./internal/core -bench 'BenchmarkCompiledEstimate' -benchtime=200ms
+rounds "$work/train" ./internal/linalg \
+    -bench 'Benchmark(CholeskyFactor|Gram)$/(n=1000|a=201x2000)$/workers=1$' -benchtime=5x
+
+python3 - "$work/read" "$work/train" "$AVX2_READ_MAX" "$AVX2_TRAIN_MAX" "$GO_READ_MAX" "$GO_TRAIN_MAX" "$GRAM_EXTRA_ALLOCS" <<'PYEOF'
 import re, statistics, sys
 
-avx2_max, go_max = float(sys.argv[1]), float(sys.argv[2])
-out = """$out"""
+read_file, train_file = sys.argv[1], sys.argv[2]
+avx2_read_max, avx2_train_max, go_read_max, go_train_max = map(float, sys.argv[3:7])
+gram_extra = int(sys.argv[7])
 
-# The kernel's own reading of the CPU, to hold the package's CPUID probe
-# against: None where there is no /proc/cpuinfo.
+# The kernels' own reading of the CPU, to hold the CPUID probe against:
+# None where there is no /proc/cpuinfo.
 try:
     with open("/proc/cpuinfo") as f:
         flags = next((line.split(":", 1)[1].split() for line in f
@@ -62,21 +94,15 @@ try:
 except OSError:
     cpu_avx2 = None
 
-ns, allocs, skipped = {}, {}, set()
-for line in out.splitlines():
-    m = re.match(r"BenchmarkCompiledEstimate/(d=\d+/m=\d+)/(\w+)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) allocs/op", line)
-    if m:
-        key = (m.group(1), m.group(2))
-        ns.setdefault(key, []).append(float(m.group(3)))
-        allocs.setdefault(key, []).append(int(m.group(4)))
-        continue
-    m = re.match(r"\s*--- SKIP: BenchmarkCompiledEstimate/(d=\d+/m=\d+)/(\w+)", line)
-    if m:
-        skipped.add((m.group(1), m.group(2)))
-
-shapes = sorted({shape for shape, _ in ns} | {shape for shape, _ in skipped})
-if len(shapes) != 2:
-    sys.exit("ci/check_kernel.sh: want two shapes, found %s" % shapes)
+# Per benchmark: its results file, the path the others are timed against,
+# the number of shapes it must report, the extra allocs/op its vector paths
+# may make over that baseline (None: exactly 0 for every path), and the
+# avx2 and go bounds.
+kernels = [
+    ("CompiledEstimate", read_file, "float", 2, None, avx2_read_max, go_read_max),
+    ("CholeskyFactor", train_file, "scalar", 1, 0, avx2_train_max, go_train_max),
+    ("Gram", train_file, "scalar", 1, gram_extra, avx2_train_max, go_train_max),
+]
 
 fail = False
 def verdict(ok, text):
@@ -84,32 +110,58 @@ def verdict(ok, text):
     print("%s: %s" % (text, "ok" if ok else "FAIL"))
     fail = fail or not ok
 
-for shape in shapes:
-    for scan in ("avx2", "go", "float"):
-        if scan == "avx2" and cpu_avx2 is not None:
-            ran = (shape, scan) not in skipped
-            verdict(ran == cpu_avx2, "%s/avx2: %s, /proc/cpuinfo %s avx2"
-                    % (shape, "run" if ran else "skipped", "lists" if cpu_avx2 else "does not list"))
-        if (shape, scan) in skipped and scan == "avx2":
-            if cpu_avx2 is None:
-                print("%s/avx2: skipped, the host has no AVX2" % shape)
+for bench, path, base_path, want_shapes, extra, avx2_max, go_max in kernels:
+    with open(path) as f:
+        out = f.read()
+    ns, allocs, skipped = {}, {}, set()
+    for line in out.splitlines():
+        m = re.match(r"Benchmark%s/(\S+)/(\w+)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op.*?\s(\d+) allocs/op" % bench, line)
+        if m:
+            key = (m.group(1), m.group(2))
+            ns.setdefault(key, []).append(float(m.group(3)))
+            allocs.setdefault(key, []).append(int(m.group(4)))
             continue
-        if (shape, scan) not in ns:
-            verdict(False, "%s/%s: no result" % (shape, scan))
-            continue
-        worst = max(allocs[(shape, scan)])
-        verdict(worst == 0, "%s/%s: %d allocs/op (want 0)" % (shape, scan, worst))
-    float_ns = ns.get((shape, "float"))
-    if not float_ns:
+        m = re.match(r"\s*--- SKIP: Benchmark%s/(\S+)/(\w+)" % bench, line)
+        if m:
+            skipped.add((m.group(1), m.group(2)))
+    shapes = sorted({shape for shape, _ in ns} | {shape for shape, _ in skipped})
+    if len(shapes) != want_shapes:
+        verdict(False, "%s: want %d shapes, found %s" % (bench, want_shapes, shapes))
         continue
-    base = statistics.median(float_ns)
-    for scan, bound in (("avx2", avx2_max), ("go", go_max)):
-        if (shape, scan) not in ns:
+    for shape in shapes:
+        name = "%s/%s" % (bench, shape)
+        base_allocs = statistics.median(allocs.get((shape, base_path), [0]))
+        for kpath in ("avx2", "go", base_path):
+            key = (shape, kpath)
+            if kpath == "avx2" and cpu_avx2 is not None:
+                ran = key not in skipped
+                verdict(ran == cpu_avx2, "%s/avx2: %s, /proc/cpuinfo %s avx2"
+                        % (name, "run" if ran else "skipped", "lists" if cpu_avx2 else "does not list"))
+            if key in skipped and kpath == "avx2":
+                if cpu_avx2 is None:
+                    print("%s/avx2: skipped, the host has no AVX2" % name)
+                continue
+            if key not in ns:
+                verdict(False, "%s/%s: no result" % (name, kpath))
+                continue
+            if extra is None:
+                worst = max(allocs[key])
+                verdict(worst == 0, "%s/%s: %d allocs/op (want 0)" % (name, kpath, worst))
+            elif kpath != base_path:
+                typical = statistics.median(allocs[key])
+                verdict(typical <= base_allocs + extra, "%s/%s: %g allocs/op (want at most %s's %g + %d)"
+                        % (name, kpath, typical, base_path, base_allocs, extra))
+        base_ns = ns.get((shape, base_path))
+        if not base_ns:
             continue
-        got = statistics.median(ns[(shape, scan)])
-        verdict(got <= bound * base, "%s/%s: %.0f ns/op, %.2fx float's %.0f (bound %.2fx)"
-                % (shape, scan, got, got / base, base, bound))
+        base = statistics.median(base_ns)
+        for kpath, bound in (("avx2", avx2_max), ("go", go_max)):
+            if (shape, kpath) not in ns:
+                continue
+            got = statistics.median(ns[(shape, kpath)])
+            verdict(got <= bound * base, "%s/%s: %.0f ns/op, %.2fx %s's %.0f (bound %.2fx)"
+                    % (name, kpath, got, got / base, base_path, base, bound))
 
 if fail:
-    sys.exit("ci/check_kernel.sh: the compiled estimate kernel regressed")
+    sys.exit("ci/check_kernel.sh: a kernel regressed")
 PYEOF

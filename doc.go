@@ -151,11 +151,15 @@
 // Training runs its four heavy kernels — the nearest-center radii that size
 // the subpopulations, Q-matrix assembly over a flat structure-of-arrays box
 // layout, the Gram product, and a blocked panel-parallel Cholesky
-// factorization with a register-tiled trailing update — on GOMAXPROCS
-// goroutines by default; WithWorkers caps the count per estimator (WithWorkers(1) forces
-// the sequential path). Every worker count yields bit-identical weights:
-// each matrix element accumulates its floating-point terms in a fixed order
-// and workers write disjoint rows, so parallelism never perturbs snapshots.
+// factorization — on GOMAXPROCS goroutines by default; WithWorkers caps the
+// count per estimator (WithWorkers(1) forces the sequential path). On amd64
+// CPUs with AVX2 the Gram product and the Cholesky trailing update run one
+// assembly routine each, four products per instruction over packed
+// layouts; every other host runs a pure-Go twin over the same layouts.
+// Every worker count and path yields bit-identical weights: each matrix
+// element accumulates its rounded products in a fixed order, never fused
+// into an add, and workers write disjoint rows, so parallelism never
+// perturbs snapshots.
 //
 // Serving compiles the trained model at Train time into an immutable form —
 // zero-weight subpopulations pruned, weights pre-divided by box volume,

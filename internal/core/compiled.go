@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"quicksel/internal/cpu"
 	"quicksel/internal/geom"
 )
 
@@ -122,7 +123,7 @@ func cornerBits(v float64) int64 {
 // and is never −0, and every query misses the padding lanes. Every
 // estimate is therefore bit-identical to that scan's.
 func (c *compiledModel) estimate(lo, hi []float64) float64 {
-	if haveAVX2 {
+	if cpu.AVX2() {
 		return c.estimateAVX2(lo, hi)
 	}
 	return c.estimateGo(lo, hi)

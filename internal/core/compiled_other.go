@@ -2,10 +2,8 @@
 
 package core
 
-// haveAVX2 is false off amd64: estimate always runs estimateGo.
-const haveAVX2 = false
-
-// estimateAVX2 exists on amd64 only; estimate never calls it here.
+// estimateAVX2 exists on amd64 only; cpu.AVX2 is false here, so estimate
+// never calls it.
 func (c *compiledModel) estimateAVX2(lo, hi []float64) float64 {
 	panic("core: the AVX2 scan is amd64 only")
 }

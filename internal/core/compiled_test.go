@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"quicksel/internal/cpu"
 	"quicksel/internal/geom"
 )
 
@@ -54,7 +55,7 @@ var scanPaths = []scanPath{
 }
 
 // available reports whether this host can run the path.
-func (p scanPath) available() bool { return p.name != "avx2" || haveAVX2 }
+func (p scanPath) available() bool { return p.name != "avx2" || cpu.AVX2() }
 
 // checkScan fails the test unless every scan path this host can run returns
 // the float reference's bits for (lo, hi).
@@ -361,7 +362,7 @@ func BenchmarkCompiledEstimate(b *testing.B) {
 			{"float", compileFloat(set, weights).estimate},
 		} {
 			b.Run(fmt.Sprintf("d=%d/m=%d/%s", sh.d, sh.m, scan.name), func(b *testing.B) {
-				if scan.name == "avx2" && !haveAVX2 {
+				if scan.name == "avx2" && !cpu.AVX2() {
 					b.Skip("this host has no AVX2")
 				}
 				b.ReportAllocs()

@@ -94,7 +94,7 @@ func (g *GaussianModel) Train() error {
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {
 			v := 1.0
-			varSum := g.sigmas[i]*g.sigmas[i] + g.sigmas[j]*g.sigmas[j]
+			varSum := float64(g.sigmas[i]*g.sigmas[i]) + float64(g.sigmas[j]*g.sigmas[j])
 			for dd := 0; dd < d; dd++ {
 				diff := g.centers[i][dd] - g.centers[j][dd]
 				v *= math.Exp(-diff*diff/(2*varSum)) / math.Sqrt(2*math.Pi*varSum)
@@ -164,7 +164,7 @@ func (g *GaussianModel) Estimate(box geom.Box) (float64, error) {
 		if w == 0 {
 			continue
 		}
-		est += w * g.boxMass(j, b)
+		est += float64(w * g.boxMass(j, b))
 	}
 	if est < 0 {
 		est = 0

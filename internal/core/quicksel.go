@@ -317,7 +317,7 @@ func (m *Model) Observe(box geom.Box, sel float64) error {
 		for i := range obs.points {
 			p := make([]float64, m.cfg.Dim)
 			for d := 0; d < m.cfg.Dim; d++ {
-				p[d] = b.Lo[d] + m.rng.Float64()*(b.Hi[d]-b.Lo[d])
+				p[d] = b.Lo[d] + float64(m.rng.Float64()*(b.Hi[d]-b.Lo[d]))
 			}
 			obs.points[i] = p
 		}

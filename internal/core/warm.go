@@ -185,11 +185,11 @@ func (m *Model) mergeObservation(i int, incoming observation) {
 	lo := make([]float64, d)
 	hi := make([]float64, d)
 	for k := 0; k < d; k++ {
-		lo[k] = (w1*o.box.Lo[k] + w2*incoming.box.Lo[k]) / tot
-		hi[k] = (w1*o.box.Hi[k] + w2*incoming.box.Hi[k]) / tot
+		lo[k] = (float64(w1*o.box.Lo[k]) + float64(w2*incoming.box.Lo[k])) / tot
+		hi[k] = (float64(w1*o.box.Hi[k]) + float64(w2*incoming.box.Hi[k])) / tot
 	}
 	merged := geom.NewBox(lo, hi)
-	sel := (w1*o.sel + w2*incoming.sel) / tot
+	sel := (float64(w1*o.sel) + float64(w2*incoming.sel)) / tot
 	if m.warm != nil && i < m.warmObs {
 		m.warmDeltas = append(m.warmDeltas,
 			warmDelta{box: o.box, sel: o.sel, weight: o.weight},

@@ -1,4 +1,4 @@
-package core
+package cpu
 
 import (
 	"bufio"
@@ -30,7 +30,7 @@ func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
 	if flags == nil {
 		t.Skip("/proc/cpuinfo lists no CPU flags")
 	}
-	if want := slices.Contains(flags, "avx2"); haveAVX2 != want {
-		t.Errorf("haveAVX2 = %v, but /proc/cpuinfo lists avx2: %v", haveAVX2, want)
+	if want := slices.Contains(flags, "avx2"); AVX2() != want {
+		t.Errorf("AVX2() = %v, but /proc/cpuinfo lists avx2: %v", AVX2(), want)
 	}
 }

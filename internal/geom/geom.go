@@ -279,7 +279,7 @@ func SquaredDistance(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -294,7 +294,7 @@ func CenteredBox(center []float64, halfWidth []float64, bounds Box) Box {
 	hi := make([]float64, len(center))
 	for i := range center {
 		w := halfWidth[i]
-		minW := minFrac * bounds.Side(i)
+		minW := float64(minFrac * bounds.Side(i))
 		if w < minW {
 			w = minW
 		}
@@ -306,7 +306,7 @@ func CenteredBox(center []float64, halfWidth []float64, bounds Box) Box {
 	// push the collapsed side inward to restore positive volume.
 	for i := range b.Lo {
 		if b.Hi[i] <= b.Lo[i] {
-			minW := minFrac * bounds.Side(i)
+			minW := float64(minFrac * bounds.Side(i))
 			if b.Lo[i]+minW <= bounds.Hi[i] {
 				b.Hi[i] = b.Lo[i] + minW
 			} else {

@@ -70,8 +70,8 @@ func rotateRow(li, cs []float64, w float64) {
 	cs = cs[:2*len(li)]
 	for j := 0; j < i; j++ {
 		c, s := cs[2*j], cs[2*j+1]
-		t := c*li[j] + s*w
-		w = c*w - s*li[j]
+		t := float64(c*li[j]) + float64(s*w)
+		w = float64(c*w) - float64(s*li[j])
 		li[j] = t
 	}
 	r := math.Hypot(li[i], w)
@@ -90,17 +90,17 @@ func rotateRow4(li, cs []float64, w0, w1, w2, w3 float64) {
 	for j := 0; j < i; j++ {
 		q := cs[8*j : 8*j+8]
 		x := li[j]
-		t := q[0]*x + q[1]*w0
-		w0 = q[0]*w0 - q[1]*x
+		t := float64(q[0]*x) + float64(q[1]*w0)
+		w0 = float64(q[0]*w0) - float64(q[1]*x)
 		x = t
-		t = q[2]*x + q[3]*w1
-		w1 = q[2]*w1 - q[3]*x
+		t = float64(q[2]*x) + float64(q[3]*w1)
+		w1 = float64(q[2]*w1) - float64(q[3]*x)
 		x = t
-		t = q[4]*x + q[5]*w2
-		w2 = q[4]*w2 - q[5]*x
+		t = float64(q[4]*x) + float64(q[5]*w2)
+		w2 = float64(q[4]*w2) - float64(q[5]*x)
 		x = t
-		t = q[6]*x + q[7]*w3
-		w3 = q[6]*w3 - q[7]*x
+		t = float64(q[6]*x) + float64(q[7]*w3)
+		w3 = float64(q[6]*w3) - float64(q[7]*x)
 		li[j] = t
 	}
 	q := cs[8*i : 8*i+8]
@@ -133,11 +133,11 @@ func (c *Cholesky) Downdate(v []float64) error {
 		s := v[i]
 		li := l[i*n:]
 		for k := 0; k < i; k++ {
-			s -= li[k] * a[k]
+			s -= float64(li[k] * a[k])
 		}
 		s /= li[i]
 		a[i] = s
-		norm2 += s * s
+		norm2 += float64(s * s)
 	}
 	if !(norm2 < 1) || math.IsNaN(norm2) {
 		return ErrNotSPD
@@ -151,8 +151,8 @@ func (c *Cholesky) Downdate(v []float64) error {
 		li := l[i*n : i*n+i+1]
 		wi := v[i]
 		for j := 0; j < i; j++ {
-			t := (li[j] - sn[j]*wi) / cs[j]
-			wi = cs[j]*wi - sn[j]*t
+			t := (li[j] - float64(sn[j]*wi)) / cs[j]
+			wi = float64(cs[j]*wi) - float64(sn[j]*t)
 			li[j] = t
 		}
 		d := li[i]

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"quicksel/internal/cpu"
 	"quicksel/internal/par"
 )
 
@@ -75,7 +76,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.Row(i)
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -95,7 +96,7 @@ func (m *Matrix) TransposeMulVec(y []float64) []float64 {
 			continue
 		}
 		for j, v := range row {
-			out[j] += v * yi
+			out[j] += float64(v * yi)
 		}
 	}
 	return out
@@ -112,26 +113,71 @@ func (m *Matrix) AddScaledGram(dst *Matrix, scale float64) {
 // AddScaledGramWorkers is AddScaledGram with an explicit worker count (0 =
 // GOMAXPROCS, 1 = sequential). Parallelism is across destination rows, and
 // each element of dst accumulates its k-products in ascending order whatever
-// the worker count, so the result is bit-identical to the sequential pass.
+// the worker count and path, so the result is bit-identical to the
+// sequential scalar pass dst[i][j] += (scale·m[k][i])·m[k][j] over k with
+// m[k][i] ≠ 0.
+//
+// The columns go in groups of gramLanes, packed k-major once per call
+// (P[g][k][t] = m[k][gramLanes·g + t]), so row i's products with one group
+// stream through contiguous memory. Row i lists the k with m[k][i] ≠ 0 and
+// their scaled values scale·m[k][i]; gramAVX2, or gramGo on a host without
+// AVX2, adds the listed rows of every whole group right of the diagonal,
+// and gramCols the columns of the partial groups on either side.
 func (m *Matrix) AddScaledGramWorkers(dst *Matrix, scale float64, workers int) {
+	gram := gramGo
+	if cpu.AVX2() {
+		gram = gramAVX2
+	}
+	m.addScaledGram(dst, scale, workers, gram)
+}
+
+// gramLanes is the width of the Gram product's column groups: four
+// four-lane AVX2 registers.
+const gramLanes = 16
+
+// gramFunc adds Σ_e vals[e]·P[g][ks[e]] to each group g of gramLanes
+// columns of dst, e ascending, where group g of packed, P[g], starts at
+// g·stride and holds gramLanes values per row k of A.
+type gramFunc func(dst, packed []float64, ks []int, vals []float64, stride int)
+
+// addScaledGram is AddScaledGramWorkers with the group routine gram.
+func (m *Matrix) addScaledGram(dst *Matrix, scale float64, workers int, gram gramFunc) {
 	if dst.Rows != m.Cols || dst.Cols != m.Cols {
 		panic("linalg: AddScaledGram destination must be Cols×Cols")
 	}
-	n := m.Cols
+	n, rows := m.Cols, m.Rows
+	full := n / gramLanes // whole groups
+	stride := rows * gramLanes
+	packed := make([]float64, full*stride)
+	par.For(workers, full, 0, func(lo, hi int) {
+		for g := lo; g < hi; g++ {
+			for k := 0; k < rows; k++ {
+				copy(packed[g*stride+k*gramLanes:g*stride+(k+1)*gramLanes], m.Data[k*n+g*gramLanes:])
+			}
+		}
+	})
 	par.For(workers, n, 0, func(lo, hi int) {
+		ks := make([]int, 0, rows)
+		vals := make([]float64, 0, rows)
 		for i := lo; i < hi; i++ {
-			di := dst.Data[i*n:]
-			for k := 0; k < m.Rows; k++ {
-				row := m.Row(k)
-				ri := row[i]
-				if ri == 0 {
-					continue
-				}
-				sri := scale * ri
-				for j := i; j < n; j++ {
-					di[j] += sri * row[j]
+			ks, vals = ks[:0], vals[:0]
+			for k := 0; k < rows; k++ {
+				if a := m.Data[k*n+i]; a != 0 {
+					ks = append(ks, k)
+					vals = append(vals, scale*a)
 				}
 			}
+			if len(ks) == 0 {
+				continue
+			}
+			di := dst.Data[i*n : (i+1)*n]
+			g0 := (i + gramLanes - 1) / gramLanes // the first whole group at or right of i
+			lead := min(g0*gramLanes, n)
+			m.gramCols(di, ks, vals, i, lead)
+			if g0 < full {
+				gram(di[g0*gramLanes:full*gramLanes], packed[g0*stride:], ks, vals, stride)
+			}
+			m.gramCols(di, ks, vals, max(full*gramLanes, lead), n)
 		}
 	})
 	// Mirror the upper triangle; chunks write disjoint columns.
@@ -144,6 +190,46 @@ func (m *Matrix) AddScaledGramWorkers(dst *Matrix, scale float64, workers int) {
 	})
 }
 
+// gramCols adds Σ_e vals[e]·m[ks[e]][j] to di[j] for j ∈ [lo, hi), one
+// product at a time, e ascending.
+func (m *Matrix) gramCols(di []float64, ks []int, vals []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	di = di[lo:hi]
+	for e, s := range vals {
+		row := m.Data[ks[e]*m.Cols+lo : ks[e]*m.Cols+hi]
+		for j, a := range row {
+			di[j] += float64(s * a)
+		}
+	}
+}
+
+// gramGo is gramAVX2 in Go: each group in two halves of eight chains, one
+// pass over the entries per half.
+func gramGo(dst, packed []float64, ks []int, vals []float64, stride int) {
+	ks = ks[:len(vals)]
+	for g := 0; g+gramLanes <= len(dst); g += gramLanes {
+		pg := packed[g/gramLanes*stride : g/gramLanes*stride+stride]
+		for h := 0; h < gramLanes; h += 8 {
+			d := (*[8]float64)(dst[g+h:])
+			s0, s1, s2, s3, s4, s5, s6, s7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+			for e, v := range vals {
+				q := (*[8]float64)(pg[ks[e]*gramLanes+h:])
+				s0 += float64(v * q[0])
+				s1 += float64(v * q[1])
+				s2 += float64(v * q[2])
+				s3 += float64(v * q[3])
+				s4 += float64(v * q[4])
+				s5 += float64(v * q[5])
+				s6 += float64(v * q[6])
+				s7 += float64(v * q[7])
+			}
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+	}
+}
+
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -151,7 +237,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -165,7 +251,7 @@ func AXPY(alpha float64, x, y []float64) {
 		panic("linalg: AXPY length mismatch")
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

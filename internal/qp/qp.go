@@ -149,13 +149,13 @@ func SolveIterative(p *Problem, opts IterativeOptions) (*IterativeResult, error)
 		var gnorm, wnorm float64
 		for i := range grad {
 			grad[i] = 2 * (my[i] - rhs[i])
-			gnorm += grad[i] * grad[i]
-			wnorm += w[i] * w[i]
+			gnorm += float64(grad[i] * grad[i])
+			wnorm += float64(w[i] * w[i])
 		}
 		copy(prev, w)
 		moved := false
 		for i := range w {
-			next := y[i] - step*grad[i]
+			next := y[i] - float64(step*grad[i])
 			if opts.Project && next < 0 {
 				next = 0
 			}
@@ -168,18 +168,18 @@ func SolveIterative(p *Problem, opts IterativeOptions) (*IterativeResult, error)
 			return &IterativeResult{W: w, Iters: iters + 1, Converged: true}, nil
 		}
 		// Nesterov momentum with restart on non-monotone progress.
-		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
+		tNext := (1 + math.Sqrt(1+float64(4*tMom*tMom))) / 2
 		beta := (tMom - 1) / tNext
 		var dot float64
 		for i := range w {
-			dot += (w[i] - prev[i]) * (prev[i] - y[i])
+			dot += float64((w[i] - prev[i]) * (prev[i] - y[i]))
 		}
 		if dot > 0 { // momentum points uphill: restart
 			tNext = 1
 			beta = 0
 		}
 		for i := range y {
-			y[i] = w[i] + beta*(w[i]-prev[i])
+			y[i] = w[i] + float64(beta*(w[i]-prev[i]))
 		}
 		tMom = tNext
 	}

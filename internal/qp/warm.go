@@ -59,7 +59,7 @@ func (ws *WarmState) AddRows(a [][]float64, s, weight []float64) {
 	for r, row := range a {
 		rs := ws.lambda * weight[r] * s[r]
 		for i, v := range row {
-			ws.rhs[i] += rs * v
+			ws.rhs[i] += float64(rs * v)
 		}
 	}
 	ws.edits += len(a)
@@ -82,7 +82,7 @@ func (ws *WarmState) RemoveRow(a []float64, s, weight float64) error {
 	}
 	rs := scale * s
 	for i, v := range a {
-		ws.rhs[i] -= rs * v
+		ws.rhs[i] -= float64(rs * v)
 	}
 	ws.edits++
 	return nil

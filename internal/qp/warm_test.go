@@ -174,9 +174,12 @@ func TestWarmRidgePathMatchesColdAtSameRidge(t *testing.T) {
 	for i := 0; i < m; i++ {
 		mat.Data[i*m+i] += ws.Ridge()
 	}
-	ch, err := linalg.NewCholesky(mat)
+	ch, ridge, err := linalg.FactorSPD(mat, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ridge != 0 {
+		t.Fatalf("the cold factorization at the warm ridge needed a further ridge %g", ridge)
 	}
 	want := ch.Solve(rhs)
 	if e := relErr(got, want); e > 1e-6 {

@@ -117,7 +117,8 @@ func (n *Node) Run(ctx context.Context) error {
 		case errors.Is(err, replica.ErrGap):
 			n.log.Warn("quickseld: primary compacted past our watermark; re-bootstrapping from snapshot")
 			n.srv.Store(nil)
-			if cerr := srv.Close(); cerr != nil {
+			// No final snapshot: the wipe below would delete it unread.
+			if cerr := srv.reg.closeAbrupt(); cerr != nil {
 				n.log.Warn("quickseld: close before re-bootstrap", slog.Any("error", cerr))
 			}
 			if werr := n.wipeLocalState(); werr != nil {

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -291,7 +293,12 @@ func TestNodeRebootstrapAfterGap(t *testing.T) {
 		t.Fatalf("primary log starts at %d; compaction did not pass the follower's next seq %d", first, resume)
 	}
 
-	restarted := startNode(t, fcfg, fetch, nil)
+	// The restarted follower logs at debug level, where the registry
+	// reports each snapshot it writes.
+	var logs lockedBuffer
+	rcfg := fcfg
+	rcfg.Logger = slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	restarted := startNode(t, rcfg, fetch, nil)
 	restarted.waitReady(t)
 	stream(obs[100:])
 	want := primary.observedTotal(t)
@@ -311,9 +318,39 @@ func TestNodeRebootstrapAfterGap(t *testing.T) {
 	if first := restarted.srv.Load().reg.wal.FirstSeq(); first <= resume {
 		t.Fatalf("follower log starts at %d, not past its wiped state (next seq %d)", first, resume)
 	}
+	// Between the gap and the wipe the follower closes without a final
+	// snapshot: the wipe would delete it unread.
+	log := logs.String()
+	gap := strings.Index(log, "re-bootstrapping from snapshot")
+	boot := strings.Index(log[max(gap, 0):], "bootstrapped from primary snapshot")
+	if gap < 0 || boot < 0 {
+		t.Fatalf("the restarted follower logged no gap and re-bootstrap:\n%s", log)
+	}
+	if between := log[gap : gap+boot]; strings.Contains(between, `msg="snapshot saved"`) {
+		t.Errorf("the follower wrote a snapshot between the gap and the wipe:\n%s", between)
+	}
 	for _, p := range walProbes() {
 		if want, have := estimate(t, primary.ts.URL, "people", p), estimate(t, restarted.ts.URL, "people", p); have != want {
 			t.Errorf("estimate(%q) = %v on the re-bootstrapped follower, primary = %v", p, have, want)
 		}
 	}
+}
+
+// lockedBuffer is a bytes.Buffer that a logger on several goroutines can
+// write to while a test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -478,15 +478,11 @@ func (r *Registry) Readiness() Readiness {
 }
 
 // Close stops the fetch loop and the background worker, flushes and
-// trains every estimator with pending observations, and writes a final
-// snapshot (when persistence is configured).
+// trains every estimator with pending observations, writes a final
+// snapshot (when persistence is configured), and closes the log.
 func (r *Registry) Close() error {
 	r.draining.Store(true)
-	if r.fetcher != nil {
-		r.fetcher.Stop()
-	}
-	r.stopO.Do(func() { close(r.done) })
-	r.wg.Wait()
+	r.stop()
 	if r.IsPrimary() {
 		// A follower skips the final flush: training on shutdown would give
 		// it model state the primary never had. Its pending buffer is in the
@@ -499,12 +495,33 @@ func (r *Registry) Close() error {
 	if r.cfg.SnapshotPath != "" {
 		err = r.SaveSnapshot()
 	}
-	if r.wal != nil {
-		if werr := r.wal.Close(); werr != nil && err == nil {
-			err = werr
-		}
+	if cerr := r.closeAbrupt(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
+}
+
+// closeAbrupt stops the fetch loop and the background worker and closes
+// the log, without flushing pending observations, training or writing a
+// snapshot: what was only in memory is gone, as with kill -9, while every
+// acknowledged record is already in the log. A follower closes this way
+// before it wipes its state after a compaction gap, where a final snapshot
+// would be deleted unread; Close ends with it. Stopping twice is harmless.
+func (r *Registry) closeAbrupt() error {
+	r.stop()
+	if r.wal != nil {
+		return r.wal.Close()
+	}
+	return nil
+}
+
+// stop stops the fetch loop and the background worker and waits for both.
+func (r *Registry) stop() {
+	if r.fetcher != nil {
+		r.fetcher.Stop()
+	}
+	r.stopO.Do(func() { close(r.done) })
+	r.wg.Wait()
 }
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,127}$`)

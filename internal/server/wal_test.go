@@ -17,22 +17,6 @@ import (
 	"quicksel/internal/wal"
 )
 
-// closeAbrupt simulates a crash for tests: it stops the fetch loop and the
-// background worker and closes the write-ahead log WITHOUT flushing pending
-// observations, training, or persisting a snapshot — everything that was
-// only in memory is gone, exactly as with kill -9. (Closing the log itself
-// loses nothing: acknowledged records are already on disk.)
-func (r *Registry) closeAbrupt() {
-	if r.fetcher != nil {
-		r.fetcher.Stop()
-	}
-	r.stopO.Do(func() { close(r.done) })
-	r.wg.Wait()
-	if r.wal != nil {
-		r.wal.Close()
-	}
-}
-
 func walSchema(t *testing.T) *quicksel.Schema {
 	t.Helper()
 	var s quicksel.Schema
