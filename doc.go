@@ -155,7 +155,8 @@
 // count per estimator (WithWorkers(1) forces the sequential path). On amd64
 // CPUs with AVX2 the Gram product and the Cholesky trailing update run one
 // assembly routine each, four products per instruction over packed
-// layouts; every other host runs a pure-Go twin over the same layouts.
+// layouts; every other host runs the Gram's pure-Go twin over the same
+// layout and the factor's scalar tiles.
 // Every worker count and path yields bit-identical weights: each matrix
 // element accumulates its rounded products in a fixed order, never fused
 // into an add, and workers write disjoint rows, so parallelism never

@@ -1,6 +1,6 @@
 // Package cpu probes, once, the instruction-set extensions the Go-assembly
 // kernels need, so every kernel picks between its vector routine and its
-// pure-Go twin from the same reading of the CPU.
+// Go fallback from the same reading of the CPU.
 package cpu
 
 // AVX2 reports whether the CPU has AVX2 and the OS saves the YMM

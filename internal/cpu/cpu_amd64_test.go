@@ -12,8 +12,8 @@ import (
 // Linux lists avx2 in /proc/cpuinfo only where the CPU reports AVX2 and
 // the OS saves the YMM registers, the same three checks detectAVX2 makes.
 // A probe that read a wrong leaf, bit or XCR0 mask would otherwise send
-// every AVX2 host to the Go twin, and every test and guard that skips the
-// AVX2 path on a host without it would skip it there too.
+// every AVX2 host to the Go fallbacks, and every test and guard that skips
+// the AVX2 path on a host without it would skip it there too.
 func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
 	f, err := os.Open("/proc/cpuinfo")
 	if err != nil {

@@ -28,12 +28,13 @@ type Cholesky struct {
 }
 
 // hostTiles returns the trailing update's tile routine for this host:
-// tilesAVX2 where it has AVX2, its pure-Go twin tilesGo on every other host.
+// tilesAVX2 where it has AVX2, and nil, the scalar 2×3 tiles over the
+// unpacked panel, on every other host.
 func hostTiles() tileFunc {
 	if cpu.AVX2() {
 		return tilesAVX2
 	}
-	return tilesGo
+	return nil
 }
 
 // factor factors m + ridge·I with the trailing update's tiles. The ridge is
@@ -56,9 +57,8 @@ func hostTiles() tileFunc {
 // rows, so the factor is bit-identical for every worker count, block size,
 // tile shape and trailing update (intermediate stores do not change
 // IEEE-754 results; each operation rounds to float64 either way). With nil
-// tiles nothing is packed and every element goes through subRows' 2×3
-// tiles over the unpacked panel: the scalar form the tests hold and time
-// the tiles against.
+// tiles, as on a host without AVX2, nothing is packed and every element
+// goes through subRows' 2×3 tiles over the unpacked panel.
 func factor(m *Matrix, ridge float64, workers int, tiles tileFunc) (*Cholesky, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky of non-square %d×%d matrix", m.Rows, m.Cols)
@@ -213,70 +213,6 @@ func trailingUpdate(l []float64, n, p, pe, lo, hi int, tiles tileFunc) {
 		subRows(l, n, p, pe, j, i, i+tileRows)
 	}
 	subRows(l, n, p, pe, pe, i, hi)
-}
-
-// tilesGo is tilesAVX2 in Go: each tile's row pairs in 2×3 register tiles
-// (subTile2x3), the tiles' last one or two columns through subTile2x1.
-// Columns go outer, so both row pairs read a packed column group while it
-// is in cache.
-func tilesGo(l []float64, n, p, nb, i, j, t int) {
-	e := j + t*tileCols
-	c := j
-	for ; c+3 <= e; c += 3 {
-		y := l[p*n+c : (p+nb-1)*n+c+3]
-		for r := i; r < i+tileRows; r += 2 {
-			subTile2x3((*[3]float64)(l[r*n+c:]), (*[3]float64)(l[(r+1)*n+c:]),
-				l[r*n+p:r*n+p+nb], l[(r+1)*n+p:(r+1)*n+p+nb], y, n)
-		}
-	}
-	for ; c < e; c++ {
-		y := l[p*n+c : (p+nb-1)*n+c+1]
-		for r := i; r < i+tileRows; r += 2 {
-			subTile2x1(&l[r*n+c], &l[(r+1)*n+c], l[r*n+p:r*n+p+nb], l[(r+1)*n+p:(r+1)*n+p+nb], y, n)
-		}
-	}
-}
-
-// subTile2x3 subtracts Σ_k x0[k]·y[k·n+c] from d0[c] and Σ_k x1[k]·y[k·n+c]
-// from d1[c], c < 3, one rounded product at a time, k ascending: subDot2x3
-// over the packed panel, whose three values at one k are adjacent and whose
-// next k lies a row (n) further on. It stays out of line for the same
-// register budget as subDot2x3.
-//
-//go:noinline
-func subTile2x3(d0, d1 *[3]float64, x0, x1, y []float64, n int) {
-	x1 = x1[:len(x0)]
-	s00, s01, s02 := d0[0], d0[1], d0[2]
-	s10, s11, s12 := d1[0], d1[1], d1[2]
-	o := 0
-	for k, a := range x0 {
-		b := x1[k]
-		c2 := y[o+2] // first, so one bounds check covers the three loads
-		c0, c1 := y[o], y[o+1]
-		s00 -= float64(a * c0)
-		s01 -= float64(a * c1)
-		s02 -= float64(a * c2)
-		s10 -= float64(b * c0)
-		s11 -= float64(b * c1)
-		s12 -= float64(b * c2)
-		o += n
-	}
-	d0[0], d0[1], d0[2] = s00, s01, s02
-	d1[0], d1[1], d1[2] = s10, s11, s12
-}
-
-// subTile2x1 is subTile2x3 for one column.
-func subTile2x1(d0, d1 *float64, x0, x1, y []float64, n int) {
-	x1 = x1[:len(x0)]
-	s0, s1 := *d0, *d1
-	o := 0
-	for k, a := range x0 {
-		c := y[o]
-		s0 -= float64(a * c)
-		s1 -= float64(x1[k] * c)
-		o += n
-	}
-	*d0, *d1 = s0, s1
 }
 
 // subRows is the trailing update of rows [lo, hi), columns c through each

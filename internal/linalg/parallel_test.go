@@ -91,28 +91,32 @@ func referenceGram(m, dst *Matrix, scale float64, workers int) {
 	})
 }
 
-// kernelPath is one implementation of the train's two dense products,
-// called by name: the AVX2 routines, which run only where the host has
-// AVX2; their pure-Go twins, which run everywhere; and the scalar forms,
-// the baseline both are timed against. The scalar path has no routines:
-// factor with nil tiles, and referenceGram.
-type kernelPath struct {
+// factorPath is one trailing update of the factor, called by name: the
+// AVX2 tiles, which run only where the host has AVX2, and the scalar 2×3
+// tiles over the unpacked panel (nil tiles), which every other host runs
+// and which the AVX2 tiles are timed against.
+type factorPath struct {
 	name  string
 	tiles tileFunc
-	gram  gramFunc
 }
 
-var kernelPaths = []kernelPath{
-	{"avx2", tilesAVX2, gramAVX2},
-	{"go", tilesGo, gramGo},
-	{name: "scalar"},
+var factorPaths = []factorPath{{"avx2", tilesAVX2}, {name: "scalar"}}
+
+// gramPath is one Gram product, called by name: the AVX2 groups, which run
+// only where the host has AVX2; their pure-Go twin, which every other host
+// runs; and referenceGram (nil gram), the baseline both are timed against.
+type gramPath struct {
+	name string
+	gram gramFunc
 }
 
-// available reports whether this host can run the path.
-func (p kernelPath) available() bool { return p.name != "avx2" || cpu.AVX2() }
+var gramPaths = []gramPath{{"avx2", gramAVX2}, {"go", gramGo}, {name: "scalar"}}
+
+// available reports whether this host can run the path named name.
+func available(name string) bool { return name != "avx2" || cpu.AVX2() }
 
 // addScaledGram accumulates scale·mᵀm into dst through the path's Gram.
-func (p kernelPath) addScaledGram(m, dst *Matrix, scale float64, workers int) {
+func (p gramPath) addScaledGram(m, dst *Matrix, scale float64, workers int) {
 	if p.gram == nil {
 		referenceGram(m, dst, scale, workers)
 		return
@@ -144,8 +148,8 @@ func TestBlockedCholeskyBitIdenticalToReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: reference: %v", n, err)
 		}
-		for _, path := range kernelPaths {
-			if !path.available() {
+		for _, path := range factorPaths {
+			if !available(path.name) {
 				continue
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -190,8 +194,8 @@ func TestFactorSPDRidgeRetriesBitIdentical(t *testing.T) {
 		t.Fatal("the bare reference factorization succeeded; want a rank-deficient m")
 	}
 	var ridge0 float64
-	for _, path := range kernelPaths {
-		if !path.available() {
+	for _, path := range factorPaths {
+		if !available(path.name) {
 			continue
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
@@ -273,8 +277,8 @@ func TestAddScaledGramWorkersBitIdentical(t *testing.T) {
 		if !math.Signbit(want.At(zc, zc)) {
 			t.Fatalf("%dx%d: the reference turned dst[%d][%d]'s −0 into %v", rows, cols, zc, zc, want.At(zc, zc))
 		}
-		for _, path := range kernelPaths {
-			if !path.available() {
+		for _, path := range gramPaths {
+			if !available(path.name) {
 				continue
 			}
 			for _, workers := range []int{1, 2, 8} {
@@ -326,16 +330,15 @@ func gramMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 // BenchmarkCholeskyFactor times one blocked factorization — the diagonal
 // blocks, the panel solves and the trailing update — at one worker and at
 // GOMAXPROCS, with each trailing update: the AVX2 tiles ("avx2", skipped on
-// a host without AVX2), their pure-Go twin ("go") and the 2×3 scalar tiles
-// ("scalar").
+// a host without AVX2) and the 2×3 scalar tiles ("scalar").
 func BenchmarkCholeskyFactor(b *testing.B) {
 	for _, n := range []int{250, 1000, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			m := randomSPD(rand.New(rand.NewSource(15)), n)
 			for _, workers := range []int{1, 0} {
-				for _, path := range kernelPaths {
+				for _, path := range factorPaths {
 					b.Run(fmt.Sprintf("workers=%d/%s", par.Workers(workers), path.name), func(b *testing.B) {
-						if !path.available() {
+						if !available(path.name) {
 							b.Skip("this host has no AVX2")
 						}
 						b.ReportAllocs()
@@ -360,9 +363,9 @@ func BenchmarkGram(b *testing.B) {
 	a := gramMatrix(rand.New(rand.NewSource(18)), rows, cols)
 	dst := NewMatrix(cols, cols)
 	for _, workers := range []int{1, 0} {
-		for _, path := range kernelPaths {
+		for _, path := range gramPaths {
 			b.Run(fmt.Sprintf("a=%dx%d/workers=%d/%s", rows, cols, par.Workers(workers), path.name), func(b *testing.B) {
-				if !path.available() {
+				if !available(path.name) {
 					b.Skip("this host has no AVX2")
 				}
 				b.ReportAllocs()
