@@ -117,12 +117,15 @@ func (m *Matrix) AddScaledGram(dst *Matrix, scale float64) {
 // sequential scalar pass dst[i][j] += (scale·m[k][i])·m[k][j] over k with
 // m[k][i] ≠ 0.
 //
-// The columns go in groups of gramLanes, packed k-major once per call
-// (P[g][k][t] = m[k][gramLanes·g + t]), so row i's products with one group
-// stream through contiguous memory. Row i lists the k with m[k][i] ≠ 0 and
-// their scaled values scale·m[k][i]; gramAVX2, or gramGo on a host without
-// AVX2, adds the listed rows of every whole group right of the diagonal,
-// and gramCols the columns of the partial groups on either side.
+// The columns go in groups of gramLanes, packed k-major (P[g][k][t] =
+// m[k][gramLanes·g + t]), so row i's products with one group stream
+// through contiguous memory. Row i lists the k with m[k][i] ≠ 0 and their
+// scaled values scale·m[k][i]; gramAVX2, or gramGo on a host without AVX2,
+// adds the listed rows of every whole group right of the diagonal, and
+// gramCols the columns of the partial groups on either side. The rows of m
+// go in blocks of gramBlock, k ascending, each packed into the same buffer
+// in its turn, so the copy holds at most gramBlock·Cols values however many
+// rows m has.
 func (m *Matrix) AddScaledGramWorkers(dst *Matrix, scale float64, workers int) {
 	gram := gramGo
 	if cpu.AVX2() {
@@ -135,9 +138,16 @@ func (m *Matrix) AddScaledGramWorkers(dst *Matrix, scale float64, workers int) {
 // four-lane AVX2 registers.
 const gramLanes = 16
 
+// gramBlock is the most rows of A the Gram product packs at once. One
+// group's packed block is then at most 32 KiB, and an A of more rows, as
+// when observations outnumber subpopulations, is not copied whole: each
+// element of dst takes a block's products after the previous block's, in
+// the same k order, so the bits do not depend on the blocking.
+const gramBlock = 256
+
 // gramFunc adds Σ_e vals[e]·P[g][ks[e]] to each group g of gramLanes
 // columns of dst, e ascending, where group g of packed, P[g], starts at
-// g·stride and holds gramLanes values per row k of A.
+// g·stride and holds gramLanes values per row k of A's block.
 type gramFunc func(dst, packed []float64, ks []int, vals []float64, stride int)
 
 // addScaledGram is AddScaledGramWorkers with the group routine gram.
@@ -147,39 +157,43 @@ func (m *Matrix) addScaledGram(dst *Matrix, scale float64, workers int, gram gra
 	}
 	n, rows := m.Cols, m.Rows
 	full := n / gramLanes // whole groups
-	stride := rows * gramLanes
-	packed := make([]float64, full*stride)
-	par.For(workers, full, 0, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			for k := 0; k < rows; k++ {
-				copy(packed[g*stride+k*gramLanes:g*stride+(k+1)*gramLanes], m.Data[k*n+g*gramLanes:])
-			}
-		}
-	})
-	par.For(workers, n, 0, func(lo, hi int) {
-		ks := make([]int, 0, rows)
-		vals := make([]float64, 0, rows)
-		for i := lo; i < hi; i++ {
-			ks, vals = ks[:0], vals[:0]
-			for k := 0; k < rows; k++ {
-				if a := m.Data[k*n+i]; a != 0 {
-					ks = append(ks, k)
-					vals = append(vals, scale*a)
+	packed := make([]float64, full*min(rows, gramBlock)*gramLanes)
+	for k0 := 0; k0 < rows; k0 += gramBlock {
+		kb := min(rows-k0, gramBlock)
+		a := m.Data[k0*n : (k0+kb)*n] // the block's rows of A
+		stride := kb * gramLanes
+		par.For(workers, full, 0, func(lo, hi int) {
+			for g := lo; g < hi; g++ {
+				for k := 0; k < kb; k++ {
+					copy(packed[g*stride+k*gramLanes:g*stride+(k+1)*gramLanes], a[k*n+g*gramLanes:])
 				}
 			}
-			if len(ks) == 0 {
-				continue
+		})
+		par.For(workers, n, 0, func(lo, hi int) {
+			ks := make([]int, 0, kb)
+			vals := make([]float64, 0, kb)
+			for i := lo; i < hi; i++ {
+				ks, vals = ks[:0], vals[:0]
+				for k := 0; k < kb; k++ {
+					if v := a[k*n+i]; v != 0 {
+						ks = append(ks, k)
+						vals = append(vals, scale*v)
+					}
+				}
+				if len(ks) == 0 {
+					continue
+				}
+				di := dst.Data[i*n : (i+1)*n]
+				g0 := (i + gramLanes - 1) / gramLanes // the first whole group at or right of i
+				lead := min(g0*gramLanes, n)
+				gramCols(di, a, n, ks, vals, i, lead)
+				if g0 < full {
+					gram(di[g0*gramLanes:full*gramLanes], packed[g0*stride:], ks, vals, stride)
+				}
+				gramCols(di, a, n, ks, vals, max(full*gramLanes, lead), n)
 			}
-			di := dst.Data[i*n : (i+1)*n]
-			g0 := (i + gramLanes - 1) / gramLanes // the first whole group at or right of i
-			lead := min(g0*gramLanes, n)
-			m.gramCols(di, ks, vals, i, lead)
-			if g0 < full {
-				gram(di[g0*gramLanes:full*gramLanes], packed[g0*stride:], ks, vals, stride)
-			}
-			m.gramCols(di, ks, vals, max(full*gramLanes, lead), n)
-		}
-	})
+		})
+	}
 	// Mirror the upper triangle; chunks write disjoint columns.
 	par.For(workers, n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -190,17 +204,17 @@ func (m *Matrix) addScaledGram(dst *Matrix, scale float64, workers int, gram gra
 	})
 }
 
-// gramCols adds Σ_e vals[e]·m[ks[e]][j] to di[j] for j ∈ [lo, hi), one
-// product at a time, e ascending.
-func (m *Matrix) gramCols(di []float64, ks []int, vals []float64, lo, hi int) {
+// gramCols adds Σ_e vals[e]·a[ks[e]][j] to di[j] for j ∈ [lo, hi), one
+// product at a time, e ascending, where a holds rows of n values.
+func gramCols(di, a []float64, n int, ks []int, vals []float64, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	di = di[lo:hi]
 	for e, s := range vals {
-		row := m.Data[ks[e]*m.Cols+lo : ks[e]*m.Cols+hi]
-		for j, a := range row {
-			di[j] += float64(s * a)
+		row := a[ks[e]*n+lo : ks[e]*n+hi]
+		for j, v := range row {
+			di[j] += float64(s * v)
 		}
 	}
 }

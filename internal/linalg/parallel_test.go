@@ -238,13 +238,14 @@ func TestBlockedCholeskyRejectsNonSPD(t *testing.T) {
 }
 
 // Both Gram paths equal referenceGram bit for bit, at every column count
-// mod gramLanes and with zero, negative and −0 entries. One column of A is
-// all zeros, +0 and −0, and its row of dst holds −0: the zero-skip leaves
-// that row's −0s as they are, where adding a +0 product would turn them
-// into +0.
+// mod gramLanes, with zero, negative and −0 entries, and with A taller than
+// one block of gramBlock rows, whole or not. One column of A is all zeros,
+// +0 and −0, and its row of dst holds −0: the zero-skip leaves that row's
+// −0s as they are, where adding a +0 product would turn them into +0.
 func TestAddScaledGramWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	shapes := [][2]int{{1, 1}, {3, 7}, {40, 130}, {201, 65}}
+	shapes := [][2]int{{1, 1}, {3, 7}, {40, 130}, {201, 65},
+		{gramBlock, 37}, {gramBlock + 1, 50}, {2*gramBlock + 45, 33}}
 	for cols := 2 * gramLanes; cols < 3*gramLanes; cols++ {
 		shapes = append(shapes, [2]int{1 + cols%5, cols}, [2]int{23, cols})
 	}
@@ -295,23 +296,27 @@ func TestAddScaledGramWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// The Gram product allocates its packed copy of A and, per row chunk, one
-// list of A's nonzero rows: O(rows·cols + workers·rows), never per row or
-// per group.
+// The Gram product allocates its packed copy of at most gramBlock rows of A
+// and, per block and row chunk, one list of the block's nonzero rows:
+// O(min(rows, gramBlock)·cols + workers·rows), never per row or per group.
+// At batch-wide's shape A is one block; an A of 1,000 rows, taller than
+// its 400 columns, is packed a block at a time into the same buffer.
 func TestGramAllocatesPackedCopy(t *testing.T) {
-	const rows, cols = 201, 2000
-	a := gramMatrix(rand.New(rand.NewSource(17)), rows, cols)
-	dst := NewMatrix(cols, cols)
-	for _, workers := range []int{1, 2} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		a.AddScaledGramWorkers(dst, 1, workers)
-		runtime.ReadMemStats(&after)
-		packed := uint64(8 * rows * (cols / gramLanes * gramLanes))
-		limit := packed + uint64(16*rows*8*workers) + 64<<10
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-			t.Fatalf("workers=%d: Gram of a %d×%d A allocated %d bytes, want at most %d (packed copy %d)",
-				workers, rows, cols, got, limit, packed)
+	for _, shape := range [][2]int{{201, 2000}, {1000, 400}} {
+		rows, cols := shape[0], shape[1]
+		a := gramMatrix(rand.New(rand.NewSource(17)), rows, cols)
+		dst := NewMatrix(cols, cols)
+		for _, workers := range []int{1, 2} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a.AddScaledGramWorkers(dst, 1, workers)
+			runtime.ReadMemStats(&after)
+			packed := uint64(8 * min(rows, gramBlock) * (cols / gramLanes * gramLanes))
+			limit := packed + uint64(16*rows*8*workers) + 64<<10
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Fatalf("workers=%d: Gram of a %d×%d A allocated %d bytes, want at most %d (packed copy %d)",
+					workers, rows, cols, got, limit, packed)
+			}
 		}
 	}
 }
