@@ -41,7 +41,7 @@
 #       scan     go     1.25x   0.22-0.68x
 #       factor   avx2   0.7x    0.33-0.46x
 #       Gram     avx2   0.5x    0.30-0.36x
-#       Gram     go     1.0x    0.60-0.77x
+#       Gram     go     1.0x    0.60-0.81x
 #
 # Each ratio compares medians over five rounds; the measured ranges are
 # from a shared 2-vCPU Xeon (2.0 GHz). Each bound leaves room for runner
